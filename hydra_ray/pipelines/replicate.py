@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pyarrow as pa
@@ -228,14 +228,6 @@ class ReplicateConfig:
     # staged.  Must be a pure function of the rows (replay idempotence).
     # e.g. ``audio_loudness.loudness_gate(min_lufs=-45)``.
     payload_filter: object | None = None
-    # Ingest execution: "tasks" = one raw Ray task per input fragment
-    # (measured ~50 ms/epoch overhead — right for sub-second micro-batch
-    # epochs); "dataset" = the ray.data path (streaming executor,
-    # backpressure — right for large bulk epochs).  Same route kernel
-    # either way; outputs are identical.
-    ingest_mode: str = "tasks"
-    # overlap epoch e+1's ingest tasks with epoch e's close/commit
-    pipeline_epochs: bool = True
     # maintenance: bin-pack each sink's small fragments every K committed
     # epochs (0 = off); content/time-travel preserving (Table.compact)
     compact_sinks_every: int = 0
@@ -252,29 +244,8 @@ class ReplicateConfig:
 HEAVY_COLS = ("pcm", "n_samples", "bytes")
 
 
-def _route_factory(
-    handles,
-    kind: str,
-    wm: int,
-    key_col: str,
-    P: int,
-    decoder=None,
-    payload_root: str | None = None,
-    epoch: int = 0,
-    nonce: int = 0,
-    hot_keys: frozenset = frozenset(),
-    n_salts: int = 4,
-    flush_bytes: int = 64 << 20,
-    drop: np.ndarray | None = None,
-    funnel_on: bool = False,
-    features: bool = False,
-    fbank: bool = False,
-    payload_transform=None,
-    payload_filter=None,
-    distinct_k: int = 0,
-    content_cols: tuple = ("bytes",),
-):
-    """Build the map_batches ingest fn: (decode →) partition slices →
+class _Router:
+    """The ingest task's route kernel: (decode →) partition slices →
     heavy payload STAGED STRAIGHT TO THE SINK, light rows → state actors.
 
     The heavy decoded PCM takes the shortest possible path — read block →
@@ -297,28 +268,36 @@ def _route_factory(
     has absorbed the slice — the bounded alternative to the reference's
     unbounded producer queue (`KafkaClientAlgebra.scala:244`).
 
-    Payload staging is BYTE-BOUNDED, not per-batch: the returned router
+    Payload staging is BYTE-BOUNDED, not per-batch: the router
     accumulates each partition's heavy slices and flushes a fragment when
     ``flush_bytes`` accumulate (or at task end via ``flush()``) — small
     batches then produce few well-sized files instead of a tiny parquet
     file per (batch, partition), which matters both here (writer setup
     per file) and on object storage at scale (small-file explosion).
     """
-    return _Router(
-        handles, kind, wm, key_col, P, decoder, payload_root, epoch, nonce,
-        hot_keys, n_salts, flush_bytes, drop, funnel_on, features,
-        payload_transform, fbank, distinct_k, content_cols,
-        payload_filter,
-    )
 
-
-class _Router:
     def __init__(
-        self, handles, kind, wm, key_col, P, decoder, payload_root,
-        epoch, nonce, hot_keys, n_salts, flush_bytes, drop=None,
-        funnel_on=False, features=False, payload_transform=None,
-        fbank=False, distinct_k=0, content_cols=("bytes",),
+        self,
+        handles,
+        kind: str,
+        wm: int,
+        key_col: str,
+        P: int,
+        decoder=None,
+        payload_root: str | None = None,
+        epoch: int = 0,
+        nonce: int = 0,
+        hot_keys: frozenset = frozenset(),
+        n_salts: int = 4,
+        flush_bytes: int = 64 << 20,
+        drop: np.ndarray | None = None,
+        funnel_on: bool = False,
+        features: bool = False,
+        fbank: bool = False,
+        payload_transform=None,
         payload_filter=None,
+        distinct_k: int = 0,
+        content_cols: tuple = ("bytes",),
     ):
         self.distinct_k = distinct_k
         self.content_cols = content_cols
@@ -343,7 +322,7 @@ class _Router:
         self._pending: dict[int, list[pa.Table]] = {}
         self._pbytes = 0
         # frag json strings from mid-stream byte-threshold flushes; the
-        # owner (ingest task / dataset wrapper) drains these at the end
+        # ingest task drains these at the end
         self.frag_jsons: list[str] = []
 
     def flush(self) -> dict[int, str]:
@@ -372,7 +351,7 @@ class _Router:
         self._pbytes = 0
         return frags
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> list[dict]:
         import time as _time
 
         import ray
@@ -386,7 +365,7 @@ class _Router:
         from ..stages.windows import ts_to_ms as _ts_to_ms
 
         if batch.num_rows == 0:
-            return _empty_ack()
+            return []
         if self.drop is not None and len(self.drop):
             # duplicate content (resolved by the dedup tier BEFORE this
             # pass) drops here — ahead of the decode it would have cost
@@ -396,7 +375,7 @@ class _Router:
             if dup.any():
                 batch = batch.filter(pa.array(~dup))
                 if batch.num_rows == 0:
-                    return _empty_ack()
+                    return []
         ch = None
         if self.distinct_k and kind == "clips":
             # content hash for the window KMV distinct sketch — computed
@@ -631,20 +610,12 @@ class _Router:
         if funnel_refs:
             ray.get(funnel_refs)
         t3 = _time.perf_counter()
-        k = len(sent)
-        return pa.table(
-            {
-                "source": pa.array([kind] * k, pa.string()),
-                "partition": pa.array(sent, pa.int32()),
-                "n": pa.array([a["n"] for a in acks], pa.int64()),
-                "late": pa.array([a["late"] for a in acks], pa.int64()),
-                "max_ts": pa.array([a["max_ts"] for a in acks], pa.int64()),
-                "payload_frag": pa.array([""] * k, pa.string()),
-                "decode_s": pa.array([t1 - t0] * k, pa.float64()),
-                "send_s": pa.array([t2 - t1] * k, pa.float64()),
-                "ack_wait_s": pa.array([t3 - t2] * k, pa.float64()),
-            }
-        )
+        return [
+            {"source": kind, "partition": p, "n": a["n"], "late": a["late"],
+             "max_ts": a["max_ts"], "decode_s": t1 - t0, "send_s": t2 - t1,
+             "ack_wait_s": t3 - t2}
+            for p, a in zip(sent, acks)
+        ]
 
 
 _INGEST_TASK = None
@@ -653,25 +624,25 @@ _INGEST_TASK = None
 def _ingest_task_fn():
     """Raw-task ingest unit (lazy ``ray.remote`` wrapper).
 
-    One task per input fragment file: read → sub-batch loop over the same
-    route kernel as the Dataset path → plain-dict acks.  ``max_retries=0``:
-    the epoch-level retry (driver resume) owns failure handling, so a task
-    can never double-ingest into actor state.
+    One task per input fragment file: read → sub-batch loop over the
+    route kernel → plain-dict acks.  ``max_retries=0``: the epoch-level
+    retry (driver resume) owns failure handling, so a task can never
+    double-ingest into actor state.
     """
     global _INGEST_TASK
     if _INGEST_TASK is None:
         import ray
 
         @ray.remote(max_retries=0)
-        def ingest_fragment(paths, route, batch_size, columns):
+        def ingest_fragment(paths, route, batch_size):
             import pyarrow.parquet as pq
 
             out = []
             for path in paths:
-                t = pq.read_table(path, columns=columns)
+                t = pq.read_table(path)
                 for lo in range(0, t.num_rows, batch_size):
-                    ack = route(t.slice(lo, min(batch_size, t.num_rows - lo)))
-                    out.extend(ack.to_pylist())
+                    out.extend(
+                        route(t.slice(lo, min(batch_size, t.num_rows - lo))))
             # final payload flush: one fragment per partition per TASK
             # (plus any byte-threshold mid-flushes), not per batch
             frags = list(route.frag_jsons) + list(route.flush().values())
@@ -679,47 +650,6 @@ def _ingest_task_fn():
 
         _INGEST_TASK = ingest_fragment
     return _INGEST_TASK
-
-
-def _per_batch_route(router: "_Router"):
-    """Dataset-mode wrapper: a fresh accumulator per batch (map_batches
-    functions run stateless per batch), flushed immediately; the frag
-    strings ride in the ack table's payload_frag column (record-separator
-    joined — partition identity lives inside each frag json)."""
-    import copy
-
-    def fn(batch: pa.Table) -> pa.Table:
-        r = copy.copy(router)
-        r._pending = {}
-        r._pbytes = 0
-        r.frag_jsons = []
-        ack = r(batch)
-        frags = r.frag_jsons + list(r.flush().values())
-        if frags:
-            k = ack.num_rows
-            col = pa.array(["\x1e".join(frags)] + [""] * (k - 1), pa.string())
-            ack = ack.set_column(
-                ack.schema.get_field_index("payload_frag"), "payload_frag", col
-            )
-        return ack
-
-    return fn
-
-
-def _empty_ack() -> pa.Table:
-    return pa.table(
-        {
-            "source": pa.array([], pa.string()),
-            "partition": pa.array([], pa.int32()),
-            "n": pa.array([], pa.int64()),
-            "late": pa.array([], pa.int64()),
-            "max_ts": pa.array([], pa.int64()),
-            "payload_frag": pa.array([], pa.string()),
-            "decode_s": pa.array([], pa.float64()),
-            "send_s": pa.array([], pa.float64()),
-            "ack_wait_s": pa.array([], pa.float64()),
-        }
-    )
 
 
 def _quantize_pcm_lossless(heavy: pa.Table) -> pa.Table:
@@ -915,6 +845,14 @@ def _reconstruct_pcm(matched: pa.Table) -> pa.Table:
 
     from ..audio import decode_batch
 
+    if "pcm" in matched.column_names:
+        # passthrough (bytes) and transformed (pcm) fragments in one
+        # payload table: the run was resumed into the same out root with
+        # a different payload_transform
+        raise ValueError(
+            "payload table mixes encoded 'bytes' and decoded 'pcm' "
+            "fragments: the out root was resumed with a changed "
+            "payload_transform; replicate into a fresh out root")
     n = matched.num_rows
     valid = pc2.is_valid(matched["bytes"]).to_numpy(zero_copy_only=False)
     vi = np.flatnonzero(valid)
@@ -927,9 +865,7 @@ def _reconstruct_pcm(matched: pa.Table) -> pa.Table:
             # every staged payload decoded cleanly at ingest — a re-decode
             # failure here means corruption at rest; surface it loudly
             # rather than returning silently-empty audio
-            import pyarrow.compute as _pc2
-
-            bad = _pc2.drop_null(_err).to_pylist()[:3]
+            bad = pc2.drop_null(_err).to_pylist()[:3]
             raise ValueError(
                 f"payload fragment re-decode failed for "
                 f"{len(_err) - _err.null_count} rows (corruption at "
@@ -947,40 +883,12 @@ def _reconstruct_pcm(matched: pa.Table) -> pa.Table:
         pa.array(offsets, pa.int64()), values,
         mask=pa.array(~valid) if (~valid).any() else None,
     )
-    if "pcm" in matched.column_names:
-        # mixed-version payload table (pre-passthrough float fragments
-        # concatenated with passthrough ones): rows with a stored pcm
-        # keep it, rows with bytes get the decoded one
-        old = matched["pcm"].combine_chunks()
-        vo = np.asarray(pc2.is_valid(old))
-        o_flat = np.asarray(old.values, dtype=np.float32)
-        o_offs = old.offsets.to_numpy(zero_copy_only=False)
-        d_offs = pcm_full.offsets.to_numpy(zero_copy_only=False)
-        d_flat = np.asarray(pcm_full.values, dtype=np.float32)
-        vd = np.asarray(pc2.is_valid(pcm_full))
-        o_lens = np.where(vo, np.diff(o_offs), 0)
-        d_lens = np.where(vd & ~vo, np.diff(d_offs), 0)
-        lens2 = o_lens + d_lens
-        offs2 = np.zeros(n + 1, np.int64)
-        np.cumsum(lens2, out=offs2[1:])
-        out2 = np.empty(offs2[-1], np.float32)
-        t_o = _span_gather_idx(offs2[:-1][vo], o_lens[vo])
-        s_o = _span_gather_idx(o_offs[:-1][vo], o_lens[vo])
-        out2[t_o] = o_flat[s_o]
-        keep_d = vd & ~vo
-        t_d = _span_gather_idx(offs2[:-1][keep_d], d_lens[keep_d])
-        s_d = _span_gather_idx(d_offs[:-1][keep_d], d_lens[keep_d])
-        out2[t_d] = d_flat[s_d]
-        pcm_full = pa.LargeListArray.from_arrays(
-            pa.array(offs2, pa.int64()), pa.array(out2, pa.float32()),
-            mask=pa.array(~(vo | vd)) if not (vo | vd).all() else None,
-        )
     out_cols, out_names = [], []
     for c in matched.column_names:
         if c == "bytes":
             out_names.append("pcm")
             out_cols.append(pcm_full)
-        elif c in ("codec", "sr_hz", "pcm"):
+        elif c in ("codec", "sr_hz"):
             continue
         else:
             out_names.append(c)
@@ -1052,25 +960,12 @@ def read_lineage(out_root: str, name: str = "replicate") -> list[dict]:
     object per epoch (``_lineage/<name>/e{epoch}.json`` — appending to a
     shared file would need an append primitive object stores lack); a
     replayed epoch's duplicate write no-ops on the conditional PUT, and
-    deterministic replay makes the kept first write equivalent.  The
-    legacy single-file ``<name>.jsonl`` layout is still read if present."""
-    from ..fs import fexists, fget, flist
+    deterministic replay makes the kept first write equivalent."""
+    from ..fs import fget, flist
 
     t = Table(os.path.join(out_root, "replicated"))
     committed = t.committed_epoch(name)
     ents: dict[int, dict] = {}
-    legacy = os.path.join(out_root, "_lineage", f"{name}.jsonl")
-    if fexists(legacy):
-        for line in fget(legacy).decode().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                e = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if e.get("epoch") is not None and e["epoch"] <= committed:
-                ents[e["epoch"]] = e
     d = os.path.join(out_root, "_lineage", name)
     for fn in flist(d):
         if not fn.endswith(".json") or fn.startswith("."):
@@ -1135,6 +1030,9 @@ class ReplicatePipeline:
 
         cls = PartitionStateActor()
         cfg = self.cfg
+        # the actors get the config itself, minus the ingest-side hooks
+        # (they run in the routing tasks, never in state)
+        state_cfg = replace(cfg, payload_transform=None, payload_filter=None)
         sink_roots = {s: t.uri for s, t in self.sink.items()}
         # SPREAD: balance partition actors across cluster nodes (a no-op
         # in single-node local mode; on a real cluster it keeps one
@@ -1142,7 +1040,7 @@ class ReplicatePipeline:
         self.actors = [
             cls.options(num_cpus=cfg.actor_num_cpus,
                         scheduling_strategy="SPREAD").remote(
-                p, _StateCfg(cfg), sink_roots, self.part_root
+                p, state_cfg, sink_roots, self.part_root
             )
             for p in range(cfg.num_partitions)
         ]
@@ -1215,7 +1113,7 @@ class ReplicatePipeline:
         """Process all available source data (resuming if needed), then
         flush.  Returns the final merged metrics.
 
-        In ``ingest_mode="tasks"`` consecutive epochs PIPELINE: epoch
+        Consecutive epochs PIPELINE: epoch
         e+1's decode/transfer/payload-staging tasks launch as soon as
         epoch e's watermark is known and overlap e's close/checkpoint/
         commit.  Actors stash e+1 rows and apply them at close(e+1), so
@@ -1225,16 +1123,6 @@ class ReplicatePipeline:
 
         state = self.sink[self.MAIN].pipeline_state(self.name)
         committed = int(state.get("last_epoch", -1))
-        swap = state.get("rescale_swap")
-        if swap:
-            # legacy (pre-layout-generation) trees only: the dir-swap
-            # rescale could crash mid-swap; refuse to resume over it
-            raise RuntimeError(
-                f"a state rescale ({swap.get('old')}→{swap.get('new')} "
-                "partitions) crashed mid-swap; re-run rescale_state, or "
-                f"restore the p* dirs from backup {swap.get('backup')!r} "
-                "and clear 'rescale_swap' via update_pipeline_state"
-            )
         layout = str(state.get("ckpt_layout", "") or "")
         self.part_root = (
             os.path.join(self.ckpt_root, layout) if layout else self.ckpt_root
@@ -1334,15 +1222,14 @@ class ReplicatePipeline:
                     )
                 wm_new = self._advance_watermark(wm, acks)
                 # pipeline: overlap the NEXT epoch's ingest with this close
-                if self.cfg.pipeline_epochs and self.cfg.ingest_mode == "tasks":
-                    ncv, nuv, nhas = self._next_slice(cv, uv)
-                    if nhas:
-                        pre = (
-                            epoch + 1,
-                            self._launch_ingest(epoch + 1, cv, ncv, uv, nuv, wm_new),
-                            ncv,
-                            nuv,
-                        )
+                ncv, nuv, nhas = self._next_slice(cv, uv)
+                if nhas:
+                    pre = (
+                        epoch + 1,
+                        self._launch_ingest(epoch + 1, cv, ncv, uv, nuv, wm_new),
+                        ncv,
+                        nuv,
+                    )
                 _t1 = _time.perf_counter()
                 metrics = self._finish_epoch(
                     epoch, acks, pay_frags, clips_v, cv, updates_v, uv, wm, wm_new
@@ -1386,7 +1273,7 @@ class ReplicatePipeline:
         updates_to: int,
         wm_prev: int,
     ):
-        """Fire the epoch's ingest (non-blocking in tasks mode).
+        """Fire the epoch's ingest tasks (non-blocking).
 
         Each launch gets a fresh nonce, recorded as the authoritative one
         for its epoch; if a pre-launched slice is discarded (source grew
@@ -1473,9 +1360,11 @@ class ReplicatePipeline:
         self, epoch, clips_from, clips_to, updates_from, updates_to,
         wm_prev, nonce, drop,
     ):
+        import ray
+
         cfg = self.cfg
         hot = frozenset(self._hot) if cfg.hot_key_threshold else frozenset()
-        clips_route = _route_factory(
+        clips_route = _Router(
             self.actors, "clips", wm_prev, "clip_id", cfg.num_partitions,
             # keep_bytes enables passthrough payload staging (stage the
             # encoded source bytes, not float32 PCM) when no transform
@@ -1507,61 +1396,36 @@ class ReplicatePipeline:
             distinct_k=(cfg.window_distinct_k or cfg.window_mode_k),
             content_cols=cfg.dedup_cols,
         )
-        updates_route = _route_factory(
+        updates_route = _Router(
             self.actors, "updates", wm_prev, "clip_id", cfg.num_partitions,
             epoch=epoch,
             nonce=nonce,
             hot_keys=hot,
             n_salts=cfg.n_salts,
         )
-        if cfg.ingest_mode == "tasks":
-            import ray
-
-            task = _ingest_task_fn()
-            refs = []
-            if clips_to > clips_from:
-                # ship the router once per epoch (object store), not
-                # re-pickled into every task submission
-                route_ref = ray.put(clips_route)
-                for f in self.clips.read_fragments(clips_from, clips_to):
-                    refs.append(
-                        task.remote(
-                            self.clips.fragment_paths([f]), route_ref,
-                            cfg.batch_size, None,
-                        )
-                    )
-            if self.updates and updates_to > updates_from:
-                route_ref = ray.put(updates_route)
-                for f in self.updates.read_fragments(updates_from, updates_to):
-                    refs.append(
-                        task.remote(
-                            self.updates.fragment_paths([f]), route_ref,
-                            cfg.batch_size * 8, None,
-                        )
-                    )
-            return ("refs", refs)
-        ack_tables = []
+        task = _ingest_task_fn()
+        refs = []
         if clips_to > clips_from:
-            ds = self.clips.to_dataset(after_version=clips_from, version=clips_to)
-            ds = ds.map_batches(
-                _per_batch_route(clips_route),
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-                max_retries=0,  # epoch-level retry owns failure handling
-            )
-            ack_tables.append(ds)
+            # ship the router once per epoch (object store), not
+            # re-pickled into every task submission
+            route_ref = ray.put(clips_route)
+            for f in self.clips.read_fragments(clips_from, clips_to):
+                refs.append(
+                    task.remote(
+                        self.clips.fragment_paths([f]), route_ref,
+                        cfg.batch_size,
+                    )
+                )
         if self.updates and updates_to > updates_from:
-            ds = self.updates.to_dataset(
-                after_version=updates_from, version=updates_to
-            )
-            ds = ds.map_batches(
-                _per_batch_route(updates_route),
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size * 8,
-                max_retries=0,
-            )
-            ack_tables.append(ds)
-        return ("datasets", ack_tables)
+            route_ref = ray.put(updates_route)
+            for f in self.updates.read_fragments(updates_from, updates_to):
+                refs.append(
+                    task.remote(
+                        self.updates.fragment_paths([f]), route_ref,
+                        cfg.batch_size * 8,
+                    )
+                )
+        return ("refs", refs)
 
     def _copy_hot_buffers(self, keys: list[str], epoch: int, nonce: int):
         """Fan a newly-hot key's buffered update revisions from its home
@@ -1660,18 +1524,9 @@ class ReplicatePipeline:
             )
             launched = self._launch_routed(ep, cf, ct, uf, ut, wm_prev, nonce, drop)
             return self._collect_acks(launched, ep)
-        if kind == "refs":
-            for chunk in ray.get(payload):
-                acks.extend(chunk["acks"])
-                frags.extend(chunk["frags"])
-        elif payload:
-            combined = payload[0]
-            for other in payload[1:]:
-                combined = combined.union(other)
-            acks = combined.take_all()
-            for a in acks:
-                if a.get("payload_frag"):
-                    frags.extend(a["payload_frag"].split("\x1e"))
+        for chunk in ray.get(payload):
+            acks.extend(chunk["acks"])
+            frags.extend(chunk["frags"])
         if acks and os.environ.get("HYDRA_DEBUG_TIMING"):
             import sys as _sys
 
@@ -2091,7 +1946,7 @@ class ReplicatePipeline:
             from ..state.store import _bottomk_union, _session_rows_table
 
             gap = cfg.session_gap_ms
-            ssk = getattr(cfg, "session_sample_k", 0)
+            ssk = cfg.session_sample_k
             per_key: dict[str, list] = {}
             for k, *rest in intervals:
                 per_key.setdefault(k, []).append(list(rest))
@@ -2191,39 +2046,3 @@ class ReplicatePipeline:
                 if n.startswith("e") and int(n[1:]) < base:
                     fs_i, dp = _fs.resolve(os.path.join(d, n))
                     fs_i.delete_tree(dp)
-
-
-@dataclass
-class _StateCfg:
-    """Plain-data slice of ReplicateConfig shipped to state actors."""
-
-    join_window_ms: int = 60_000
-    allowed_lateness_ms: int = 30_000
-    window_size_ms: int = 10_000
-    session_gap_ms: int = 0
-    sliding_size_ms: int = 0
-    sliding_slide_ms: int = 0
-    num_partitions: int = 0
-
-    FUNNEL_KINDS = {"clip": 0, "update": 1, "delete": 2}
-
-    def __init__(self, cfg: ReplicateConfig):
-        self.join_window_ms = cfg.join_window_ms
-        self.allowed_lateness_ms = cfg.allowed_lateness_ms
-        self.window_size_ms = cfg.window_size_ms
-        self.session_gap_ms = cfg.session_gap_ms
-        self.sliding_size_ms = cfg.sliding_size_ms
-        self.sliding_slide_ms = cfg.sliding_slide_ms
-        self.num_partitions = cfg.num_partitions
-        self.funnel_steps = tuple(
-            self.FUNNEL_KINDS[s] for s in (cfg.funnel_steps or ())
-        )
-        self.funnel_within_ms = cfg.funnel_within_ms
-        self.changelog = cfg.changelog
-        self.window_sample_k = getattr(cfg, "window_sample_k", 0)
-        self.window_distinct_k = getattr(cfg, "window_distinct_k", 0)
-        self.window_mode_k = getattr(cfg, "window_mode_k", 0)
-        self.window_top_k = getattr(cfg, "window_top_k", 0)
-        self.session_sample_k = getattr(cfg, "session_sample_k", 0)
-        self.temporal_join = getattr(cfg, "temporal_join", False)
-        self.early_fire = getattr(cfg, "early_fire", False)

@@ -65,8 +65,8 @@ def partition_files(root: str, p: int) -> list[str]:
     the ``_DONE`` manifest's file list (uncommitted partitions and
     crashed runs' leftovers are invisible).  Paths come back through
     ``fs.local_path`` — resolved for parquet readers, never carrying a
-    backend scheme.  Legacy trees whose ``_DONE`` lacks a file list fall
-    back to the directory listing."""
+    backend scheme.  A ``_DONE`` without a file list raises: the
+    committed set is unknown."""
     import json as _json
 
     from .fs import resolve
@@ -77,8 +77,10 @@ def partition_files(root: str, p: int) -> list[str]:
         return []
     meta = _json.loads(fs.get(marker))
     files = meta.get("files")
-    if files is None:  # legacy marker without a manifest
-        files = [f for f in fs.list_dir(base) if f.endswith(".parquet")]
+    if files is None:
+        raise ValueError(
+            f"{marker} names no committed files; the partition cannot be "
+            "read without guessing which parquet files belong to it")
     return [fs.local_path(os.path.join(base, f)) for f in sorted(files)]
 
 

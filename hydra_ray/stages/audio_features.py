@@ -149,13 +149,15 @@ def audio_fingerprint(batch: pa.Table, pcm_col: str = "pcm",
     # fingerprints depend on batch composition
     seg = (offsets[:-1, None] + (counts[:, None] * k) // F).reshape(-1)
 
-    work = _scratch(nf + 1, np.float32)
+    # squares in float64: a float32 square underflows to 0 below ~1e-23,
+    # which makes the energy deltas (and so the bits) depend on amplitude
+    work = _scratch(nf + 1, np.float64)
     mask = _scratch(nf, np.bool_)
 
     def seg_energy(x: np.ndarray) -> np.ndarray:
-        np.multiply(x, x, out=work[:nf])
+        np.multiply(x, x, out=work[:nf], dtype=np.float64)
         work[nf] = 0.0
-        e = np.add.reduceat(work[: nf + 1], seg, dtype=np.float64)
+        e = np.add.reduceat(work[: nf + 1], seg)
         return e.reshape(n, F)
 
     e0 = seg_energy(flat)

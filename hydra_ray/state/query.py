@@ -12,9 +12,9 @@ and a live pipeline never sees the reader (checkpoint dirs are
 immutable once written; the chain search only follows committed
 files).
 
-``cfg`` must be the pipeline's ``ReplicateConfig`` (or an already-
-trimmed ``_StateCfg``): the config DEFINES the positional cell layout
-of window state, exactly as it does for the live actors.
+``cfg`` must be the pipeline's ``ReplicateConfig``: the config DEFINES
+the positional cell layout of window state, exactly as it does for the
+live actors.
 
 Reference analogue: the admin/status surfaces over consumer-group and
 topic state (SURVEY §2.4) — state is inspectable out-of-band.
@@ -91,10 +91,6 @@ def read_state(ckpt_root: str, cfg, epoch: int | None = None,
     - ``buffers``   — per-partition occupancy (pending join clips,
       buffered update rows)
     """
-    from ..pipelines.replicate import ReplicateConfig, _StateCfg
-
-    if isinstance(cfg, ReplicateConfig):
-        cfg = _StateCfg(cfg)
     # partition dirs live under the active layout generation; the
     # dedup/near-dup index tiers stay at the bare checkpoint root
     base_root = os.path.join(ckpt_root, layout) if layout else ckpt_root
@@ -103,10 +99,10 @@ def read_state(ckpt_root: str, cfg, epoch: int | None = None,
         if epoch is None:
             raise ValueError(f"no restorable checkpoints under {base_root}")
 
-    sk = getattr(cfg, "window_sample_k", 0)
-    dk = getattr(cfg, "window_distinct_k", 0)
-    mk = getattr(cfg, "window_mode_k", 0)
-    tk = getattr(cfg, "window_top_k", 0)
+    sk = cfg.window_sample_k
+    dk = cfg.window_distinct_k
+    mk = cfg.window_mode_k
+    tk = cfg.window_top_k
 
     def _sketches(cell):
         """Open-cell sketch summary columns (positional layout — see

@@ -49,6 +49,7 @@ import os
 import pickle
 import uuid
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pyarrow as pa
@@ -150,16 +151,16 @@ def _merge_one(q: int, tmp_root: str, epoch: int, cfg, max_ts: int,
 
     st = PartitionState(q, cfg)
     qdir = os.path.join(tmp_root, "_shards", f"q{q:04d}")
-    gap = getattr(cfg, "session_gap_ms", 0)
+    gap = cfg.session_gap_ms
     for name in flist(qdir):
         d = pickle.loads(fget(os.path.join(qdir, name)))
         # salted hot key: partials from several old partitions fold with
         # the one shared cell rule (handles the window_sample_k and
         # window_distinct_k cells too)
-        sample_k = getattr(cfg, "window_sample_k", 0)
-        distinct_k = getattr(cfg, "window_distinct_k", 0)
-        mode_k = getattr(cfg, "window_mode_k", 0)
-        top_k = getattr(cfg, "window_top_k", 0)
+        sample_k = cfg.window_sample_k
+        distinct_k = cfg.window_distinct_k
+        mode_k = cfg.window_mode_k
+        top_k = cfg.window_top_k
         for target, delta in ((st.win, d["win"]), (st.swin, d["swin"])):
             for kw, acc in delta.items():
                 _fold_window_cell(target, kw, acc, sample_k, distinct_k,
@@ -205,10 +206,9 @@ def rescale_state(out_root: str, new_num_partitions: int, cfg,
     ``ReplicateConfig(num_partitions=new_num_partitions, ...)``."""
     import ray
 
-    from ..pipelines.replicate import _StateCfg
     from ..table import Table
 
-    from ..fs import flist, resolve
+    from ..fs import resolve
 
     main = Table(os.path.join(out_root, "replicated"))
     state = main.pipeline_state(name)
@@ -220,12 +220,7 @@ def rescale_state(out_root: str, new_num_partitions: int, cfg,
     old_root = (
         os.path.join(ckpt_root, old_layout) if old_layout else ckpt_root
     )
-    old_p = int(state.get("num_partitions", 0))
-    if not old_p:  # older runs didn't record it: count checkpoint dirs
-        old_p = sum(
-            1 for d in flist(old_root)
-            if d.startswith("p") and d[1:].isdigit()
-        )
+    old_p = int(state["num_partitions"])
     new_p = int(new_num_partitions)
     if new_p < 1:
         raise ValueError("new_num_partitions must be ≥ 1")
@@ -233,7 +228,8 @@ def rescale_state(out_root: str, new_num_partitions: int, cfg,
         return {"epoch": committed, "old": old_p, "new": new_p, "noop": True}
     wm_raw = state.get("watermark")
     wm = int(wm_raw) if wm_raw is not None else None
-    scfg = _StateCfg(cfg)
+    # the hooks run at ingest, never in state (as for the live actors)
+    scfg = replace(cfg, payload_transform=None, payload_filter=None)
 
     # fresh layout generation; the nonce makes re-runs after a crash
     # collision-free (an orphan generation dir is harmless garbage)

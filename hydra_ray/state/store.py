@@ -52,6 +52,8 @@ from ..stages.windows import assign_tumbling, ts_to_ms
 
 WATERMARK_MAX = (1 << 62)  # end-of-stream sentinel: flush everything
 _I64MAX = np.iinfo(np.int64).max  # funnel chain: "step not reached"
+# funnel step name (ReplicateConfig.funnel_steps) → event kind code
+FUNNEL_KINDS = {"clip": 0, "update": 1, "delete": 2}
 
 __all__ = ["PartitionState", "PartitionStateActor", "WATERMARK_MAX"]
 
@@ -227,6 +229,7 @@ class PartitionState:
     def __init__(self, partition: int, cfg):
         self.partition = partition
         self.cfg = cfg
+        self.funnel_codes = tuple(FUNNEL_KINDS[s] for s in cfg.funnel_steps)
         # tumbling window partials: (clip_id, window_start) -> [cnt, sum_dur_ms]
         self.win: dict[tuple[str, int], list] = {}
         # sliding window partials (same layout; rows explode ×k at ingest)
@@ -344,7 +347,7 @@ class PartitionState:
             ):
                 self.key_counts[k] = self.key_counts.get(k, 0) + int(c)
             self.metrics["clips_in"] += sub.num_rows
-            if getattr(self.cfg, "funnel_steps", ()):
+            if self.cfg.funnel_steps:
                 # funnel events for clips whose HOME partition is this one;
                 # salted-away hot clips arrive via the router's explicit
                 # kind="funnel" sends (funnel state is per-key sequential,
@@ -523,14 +526,14 @@ class PartitionState:
             sub["clip_id"].to_numpy(zero_copy_only=False), dtype=object
         )
         durs = sub["dur_ms"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sample_k = getattr(cfg, "window_sample_k", 0)
-        distinct_k = getattr(cfg, "window_distinct_k", 0)
-        mode_k = getattr(cfg, "window_mode_k", 0)
-        top_k = getattr(cfg, "window_top_k", 0)
+        sample_k = cfg.window_sample_k
+        distinct_k = cfg.window_distinct_k
+        mode_k = cfg.window_mode_k
+        top_k = cfg.window_top_k
         if not (distinct_k or mode_k):
             ch = None
         hs = None
-        if sample_k or top_k or (getattr(cfg, "session_sample_k", 0)
+        if sample_k or top_k or (cfg.session_sample_k
                                  and cfg.session_gap_ms):
             from ..hashing import hash64
 
@@ -544,7 +547,7 @@ class PartitionState:
                 [self.win, self._delta_win], keys_np, starts, durs,
                 hs, sample_k, ch, distinct_k, mode_k, top_k,
             )
-        if getattr(cfg, "sliding_size_ms", 0):
+        if cfg.sliding_size_ms:
             from ..stages.windows import explode_sliding
 
             rows, starts = explode_sliding(ts, cfg.sliding_size_ms, cfg.sliding_slide_ms)
@@ -556,7 +559,7 @@ class PartitionState:
             )
         if cfg.session_gap_ms:
             gap = cfg.session_gap_ms
-            ssk = getattr(cfg, "session_sample_k", 0)
+            ssk = cfg.session_sample_k
             # batch-local sessionization (vectorized): sort by (key, ts),
             # break on key change or gap, reduce each run — then merge the
             # few resulting intervals into the open-session state.  The
@@ -604,8 +607,8 @@ class PartitionState:
         """Insert a session interval [t0, t1] (cnt events, dur sum,
         optional bottom-k duration sample) into the per-key open-session
         list (kept sorted, non-overlapping under the gap relation)."""
-        k = getattr(self.cfg, "session_sample_k", 0)
-        if getattr(self.cfg, "early_fire", False):
+        k = self.cfg.session_sample_k
+        if self.cfg.early_fire:
             self._touched_sessions.add(key)
         lst = self.sessions[key]
         new = [t0, t1, cnt, dur]
@@ -687,7 +690,7 @@ class PartitionState:
             ks, t_s, r_s, x_s = keys[order], tss[order], revs[order], texts[order]
             last = np.ones(len(ks), dtype=bool)
             last[:-1] = ks[1:] != ks[:-1]
-            chg = getattr(self.cfg, "changelog", False)
+            chg = self.cfg.changelog
             for i in np.flatnonzero(last):
                 rec = (int(t_s[i]), int(r_s[i]), x_s[i])
                 cur = self.view.get(ks[i])
@@ -697,7 +700,7 @@ class PartitionState:
                     self.view[ks[i]] = rec
                     self._delta_view[ks[i]] = rec
             self.metrics["updates_in"] += int((ok & ~replica).sum())
-            if getattr(self.cfg, "funnel_steps", ()):
+            if self.cfg.funnel_steps:
                 prim = np.flatnonzero(ok & ~replica)
                 if len(prim):
                     kk = np.asarray(
@@ -727,10 +730,10 @@ class PartitionState:
         out["sliding"], out["hot_sliding"] = self._close_sliding(epoch, wm, hot_keys)
         out["sessions"], out["hot_sessions"] = self._close_sessions(epoch, wm, hot_keys)
         out["funnels"] = self._close_funnel(epoch, wm)
-        if getattr(self.cfg, "changelog", False):
+        if self.cfg.changelog:
             out["changelog"] = self._emit_changelog(epoch)
         out["dlq"] = self._emit_dlq(epoch)
-        if getattr(self.cfg, "early_fire", False):
+        if self.cfg.early_fire:
             # incremental (speculative) window emission: report which
             # still-open tumbling/sliding cells THIS epoch touched (the
             # delta dicts hold exactly this epoch's increments — deltas
@@ -755,7 +758,7 @@ class PartitionState:
             if self.cfg.window_size_ms:
                 out["early_touched"] = _touched_tbl(
                     self._delta_win, self.win)
-            if getattr(self.cfg, "sliding_size_ms", 0):
+            if self.cfg.sliding_size_ms:
                 out["early_touched_sliding"] = _touched_tbl(
                     self._delta_swin, self.swin)
             if self.cfg.session_gap_ms:
@@ -776,7 +779,7 @@ class PartitionState:
         horizon = wm - self.cfg.join_window_ms if wm < WATERMARK_MAX else wm
         keys, tss, revs, texts = self._consolidated_updates()
         keep = _update_keep_mask(
-            keys, tss, horizon, getattr(self.cfg, "temporal_join", False))
+            keys, tss, horizon, self.cfg.temporal_join)
         evicted = int(len(tss) - keep.sum())
         if evicted:
             self.upd_chunks = (
@@ -797,7 +800,7 @@ class PartitionState:
         partitions/salts.  Sketch columns stay a close-time/
         queryable-state feature (stable live schema)."""
         if kind == "sliding":
-            live, size = self.swin, getattr(self.cfg, "sliding_size_ms", 0)
+            live, size = self.swin, self.cfg.sliding_size_ms
         else:
             live, size = self.win, self.cfg.window_size_ms
         ks = cells["clip_id"].to_pylist()
@@ -851,7 +854,7 @@ class PartitionState:
         independent: the per-step scatter is order-free and funnel rows
         always reach the key's HOME partition.
         """
-        steps = getattr(self.cfg, "funnel_steps", ())
+        steps = self.funnel_codes
         if not steps or not self.funnel_buf:
             return None
         keys = np.concatenate([c[0] for c in self.funnel_buf])
@@ -891,7 +894,7 @@ class PartitionState:
                 self._delta_funnel[k] = ch
 
         newly = (levels == S) & ~was_complete
-        within = getattr(self.cfg, "funnel_within_ms", 0)
+        within = self.cfg.funnel_within_ms
         if within:
             newly &= (t[:, -1] - t[:, 0]) <= within
         if not newly.any():
@@ -1019,7 +1022,7 @@ class PartitionState:
                 final_txt[match] = utext[best[match]]
                 deleted = np.zeros(len(ckeys), dtype=bool)
                 deleted[match] = pd.isna(utext[best[match]])
-                if getattr(self.cfg, "temporal_join", False):
+                if self.cfg.temporal_join:
                     # temporal (as-of) probe: latest update with
                     # u.ts ≤ c.ts — the "right" bound of the same probe
                     # key includes equal-ts versions, and the stable
@@ -1040,7 +1043,7 @@ class PartitionState:
             else:
                 final_txt = orig
                 deleted = np.zeros(len(ckeys), dtype=bool)
-                if getattr(self.cfg, "temporal_join", False):
+                if self.cfg.temporal_join:
                     asof_txt = np.full(len(ckeys), None, dtype=object)
                     asof_rev = np.zeros(len(ckeys), np.int64)
                     has_asof = np.zeros(len(ckeys), bool)
@@ -1074,8 +1077,8 @@ class PartitionState:
                 "sum_dur_ms": pa.array([r[3] for r in rows], pa.int64()),
             }
         )
-        sample_k = getattr(self.cfg, "window_sample_k", 0)
-        distinct_k = getattr(self.cfg, "window_distinct_k", 0)
+        sample_k = self.cfg.window_sample_k
+        distinct_k = self.cfg.window_distinct_k
         idx = 4
         if sample_k and rows and len(rows[0]) > idx + 1:  # [hs, vs] cells
             if partial:
@@ -1115,7 +1118,7 @@ class PartitionState:
                               for r in rows], pa.int64()),
                 )
             idx += 1
-        mode_k = getattr(self.cfg, "window_mode_k", 0)
+        mode_k = self.cfg.window_mode_k
         if mode_k and rows and len(rows[0]) > idx + 1:    # [mh, mc] cells
             if partial:
                 t = t.append_column(
@@ -1135,7 +1138,7 @@ class PartitionState:
                     "mode_n", pa.array([m[1] for m in modes], pa.int64())
                 )
             idx += 2
-        top_k = getattr(self.cfg, "window_top_k", 0)
+        top_k = self.cfg.window_top_k
         if top_k and rows and len(rows[0]) > idx + 1:     # [tv, th] cells
             if partial:
                 # hot-key partials carry hashes too so the driver merge
@@ -1191,7 +1194,7 @@ class PartitionState:
         )
 
     def _close_sliding(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()):
-        size = getattr(self.cfg, "sliding_size_ms", 0)
+        size = self.cfg.sliding_size_ms
         if not size or not self.swin:
             return None, None
         return self._close_window_dict(
@@ -1230,7 +1233,7 @@ class PartitionState:
         tbl = None
         if rows:
             tbl = _session_rows_table(
-                rows, getattr(self.cfg, "session_sample_k", 0))
+                rows, self.cfg.session_sample_k)
             tbl = _stamp(tbl, self.partition, epoch)
             self.metrics["sessions_closed"] += tbl.num_rows
         return tbl, hot_rows or None
@@ -1287,7 +1290,7 @@ class PartitionState:
         from ..hashing import partition_for
 
         keys = sorted(self.view.keys())
-        P = getattr(self.cfg, "num_partitions", 0)
+        P = self.cfg.num_partitions
         if keys and P:
             homes = partition_for(np.asarray(keys, dtype=object), P)
             keys = [k for k, h in zip(keys, homes) if h == self.partition]
@@ -1378,10 +1381,10 @@ class PartitionState:
         from ..fs import fexists, fget, fget_table
 
         d = pickle.loads(fget(os.path.join(directory, "delta.pkl")))
-        sample_k = getattr(self.cfg, "window_sample_k", 0)
-        distinct_k = getattr(self.cfg, "window_distinct_k", 0)
-        mode_k = getattr(self.cfg, "window_mode_k", 0)
-        top_k = getattr(self.cfg, "window_top_k", 0)
+        sample_k = self.cfg.window_sample_k
+        distinct_k = self.cfg.window_distinct_k
+        mode_k = self.cfg.window_mode_k
+        top_k = self.cfg.window_top_k
         for target, delta in ((self.win, d["win_delta"]), (self.swin, d["swin_delta"])):
             for kw, acc in delta.items():
                 _fold_window_cell(target, kw, acc, sample_k, distinct_k,
@@ -1413,7 +1416,7 @@ class PartitionState:
         if cfg.window_size_ms:
             size = cfg.window_size_ms
             self.win = {kw: v for kw, v in self.win.items() if kw[1] + size > wm}
-        if getattr(cfg, "sliding_size_ms", 0):
+        if cfg.sliding_size_ms:
             size = cfg.sliding_size_ms
             self.swin = {kw: v for kw, v in self.swin.items() if kw[1] + size > wm}
         W = cfg.join_window_ms
@@ -1427,7 +1430,7 @@ class PartitionState:
         horizon = wm - W if wm < WATERMARK_MAX else wm
         keys, tss, revs, texts = self._consolidated_updates()
         keep = _update_keep_mask(
-            keys, tss, horizon, getattr(self.cfg, "temporal_join", False))
+            keys, tss, horizon, self.cfg.temporal_join)
         self.upd_chunks = (
             [(keys[keep], tss[keep], revs[keep], texts[keep])] if keep.any() else []
         )

@@ -61,7 +61,6 @@ from ..fs import resolve, with_scheme
 __all__ = ["FragmentMeta", "Table"]
 
 _MANIFEST_DIR = "_versions"
-_STAGE_DIR = "_staged"
 _DATA_DIR = "data"
 
 
@@ -749,10 +748,6 @@ class Table:
             if rel not in referenced:
                 self.fs.delete(os.path.join(self.root, rel))
                 n += 1
-        # legacy layout: clear any pre-rename-free staged files too
-        for name in self.fs.list_dir(os.path.join(self.root, _STAGE_DIR)):
-            self.fs.delete(os.path.join(self.root, _STAGE_DIR, name))
-            n += 1
         return n
 
     def version_at(self, ts_ms: int) -> int | None:

@@ -169,9 +169,8 @@ def test_rescale_rollback_is_pure_metadata(sources):
 
 
 def test_inconsistent_layout_refused(sources):
-    """(a) The legacy mid-swap sentinel (pre-layout-generation trees)
-    still blocks a resume; (b) a p*-dir count that disagrees with the
-    committed num_partitions refuses to restore silently."""
+    """A p*-dir count that disagrees with the committed num_partitions
+    refuses to restore silently."""
     import shutil
 
     from hydra_ray.table import Table
@@ -181,15 +180,7 @@ def test_inconsistent_layout_refused(sources):
     _run(root, "halfswap", 4, max_epochs=2)
     main = Table(f"{out}/replicated")
 
-    # (a) legacy sentinel from an old-layout tree
-    main.update_pipeline_state(
-        "replicate",
-        {"rescale_swap": {"old": 4, "new": 6, "backup": "bk"}})
-    with pytest.raises(RuntimeError, match="mid-swap"):
-        _run(root, "halfswap", 4)
-    main.update_pipeline_state("replicate", {"rescale_swap": None})
-
-    # (b) damaged layout: a partition dir missing vs the recorded count
+    # damaged layout: a partition dir missing vs the recorded count
     shutil.rmtree(f"{out}/_checkpoints/p0003")
     with pytest.raises(RuntimeError, match="inconsistent"):
         _run(root, "halfswap", 4)

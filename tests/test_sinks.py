@@ -215,3 +215,20 @@ def test_write_partitioned_on_strict_backend(rd, tmp_path):
             parts.append(pq2.read_table(f).to_pandas())
     back = pd.concat(parts).sort_values("v").reset_index(drop=True)
     assert back["v"].tolist() == df["v"].tolist()
+
+
+def test_done_marker_without_file_list_raises(tmp_path):
+    """A ``_DONE`` marker that names no files raises instead of treating
+    every parquet file in the partition dir as committed."""
+    import json
+
+    from hydra_ray.sinks import partition_dir, partition_files
+
+    root = str(tmp_path / "out")
+    d = partition_dir(root, 0)
+    os.makedirs(d)
+    pd.DataFrame({"v": [1]}).to_parquet(os.path.join(d, "orphan.parquet"))
+    with open(os.path.join(d, "_DONE"), "w") as f:
+        json.dump({"rows": 1}, f)
+    with pytest.raises(ValueError, match="names no committed files"):
+        partition_files(root, 0)

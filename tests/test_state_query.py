@@ -104,7 +104,7 @@ def test_read_state_exposes_window_sketches(ray_session, tmp_path):
     cells' sketch summaries (p50 / distinct est / mode count / top-1);
     flag-off trees keep the original schema."""
     import tests.test_window_topk as tw
-    from hydra_ray.pipelines.replicate import ReplicatePipeline, _StateCfg
+    from hydra_ray.pipelines.replicate import ReplicatePipeline
     from hydra_ray.state.query import read_state
 
     root = str(tmp_path)

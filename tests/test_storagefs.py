@@ -283,6 +283,19 @@ def test_epoch_commit_op_complexity(tmp_path):
     assert m2 == m8, (m2, m8)
 
 
+def test_gc_staged_op_count(tmp_path):
+    """Orphan GC at every ``run()`` start costs one LIST of the manifest
+    log and one of ``data/`` per sink table, nothing more."""
+    from hydra_ray.fs import meter_counts, metered_root
+
+    tok = "gcstaged"
+    t = Table.create(metered_root(str(tmp_path / "t"), token=tok))
+    before = meter_counts(tok)
+    assert t.gc_staged() == 0
+    after = meter_counts(tok)
+    assert after.get("list", 0) - before.get("list", 0) == 2
+
+
 def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     """The headline streaming pipeline and the partitioned sink must
     keep their MANIFEST op counts independent of the data volume: run
