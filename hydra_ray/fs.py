@@ -48,6 +48,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import threading
 import uuid
 
 import pyarrow as pa
@@ -272,8 +273,10 @@ class MeteredStrictFS(StrictObjectFS):
     the only thing that reaches Ray worker processes; any process that
     resolves the same path string meters into the same log directory
     (``/tmp/hydra_fsmeter/<token>/``, one append-only file per backend
-    instance, no cross-process locking).  ``metered_root`` /
-    ``meter_counts`` are the test-facing helpers.
+    instance, no cross-process locking).  Threads of one process share
+    the instance's file, so opening and writing it hold a lock (the
+    injected sleep does not: concurrent ops overlap as on a real store).
+    ``metered_root`` / ``meter_counts`` are the test-facing helpers.
     """
 
     def __init__(self, token: str, latency_ms: int):
@@ -281,28 +284,35 @@ class MeteredStrictFS(StrictObjectFS):
         self.latency_ms = int(latency_ms)
         self.scheme = f"metered-{token}-{latency_ms}://"
         self._log = None
+        self._lock = threading.Lock()
 
     def _rec(self, op: str, path: str) -> None:
         if self.latency_ms:
             import time
 
             time.sleep(self.latency_ms / 1000.0)
-        if self._log is None:
-            d = os.path.join(_METER_BASE, self.token)
-            os.makedirs(d, exist_ok=True)
-            self._log = open(
-                os.path.join(d, f"{os.getpid()}-{uuid.uuid4().hex}.log"),
-                "a", buffering=1,
-            )
-        self._log.write(f"{op}\t{path}\n")
+        with self._lock:
+            if self._log is None:
+                d = os.path.join(_METER_BASE, self.token)
+                os.makedirs(d, exist_ok=True)
+                self._log = open(
+                    os.path.join(d, f"{os.getpid()}-{uuid.uuid4().hex}.log"),
+                    "a", buffering=1,
+                )
+            self._log.write(f"{op}\t{path}\n")
 
     def __getstate__(self):
-        # the op log is per-process runtime state; a pickled fs (e.g. a
-        # Table shipped through ray.put) re-opens its own log on first
-        # op in the receiving process
+        # the op log and its lock are per-process runtime state; a
+        # pickled fs (e.g. a Table shipped through ray.put) re-opens its
+        # own log on first op in the receiving process
         d = dict(self.__dict__)
         d["_log"] = None
+        del d["_lock"]
         return d
+
+    def __setstate__(self, d):
+        self.__dict__.update(d)
+        self._lock = threading.Lock()
 
     def put(self, path, data, *, mode="create", durable=False):
         self._rec("put", path)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent import futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -994,6 +995,10 @@ class ReplicatePipeline:
         name: str = "replicate",
     ):
         self.cfg = cfg or ReplicateConfig()
+        if self.cfg.keep_checkpoints < 1:
+            raise ValueError(
+                "keep_checkpoints must be >= 1 (the last committed epoch's "
+                "checkpoint chain is always kept)")
         self.name = name
         self.clips = Table(clips_root)
         self.updates = Table(updates_root) if updates_root else None
@@ -1052,7 +1057,8 @@ class ReplicatePipeline:
             dcls = DedupShardActor()
             self.dedup_shards = [
                 dcls.options(num_cpus=0.1).remote(
-                    d, self.ckpt_root, cfg.dedup_retention_ms
+                    d, self.ckpt_root, cfg.dedup_retention_ms,
+                    cfg.keep_checkpoints,
                 )
                 for d in range(cfg.num_dedup_shards)
             ]
@@ -1076,6 +1082,7 @@ class ReplicatePipeline:
                 ncls.options(num_cpus=0.1).remote(
                     d, self.ckpt_root, self._neardup_threshold(),
                     cfg.neardup_retention_ms, self._neardup_metric(),
+                    cfg.keep_checkpoints,
                 )
                 for d in range(cfg.num_neardup_shards)
             ]
@@ -1152,6 +1159,8 @@ class ReplicatePipeline:
         for t in self.sink.values():
             t.gc_staged()
         self._spawn_actors()
+        # runs each epoch's aux sink commits and lineage PUT concurrently
+        self._commit_pool = futures.ThreadPoolExecutor(len(self.SINKS))
         try:
             if committed >= 0:
                 ray.get(
@@ -1251,6 +1260,7 @@ class ReplicatePipeline:
                 k: v for k, v in metrics.items() if not k.startswith("__")
             } | {"epochs": epoch, "watermark": wm}
         finally:
+            self._commit_pool.shutdown()
             self._shutdown_actors()
 
     def _advance_watermark(self, wm_prev: int, acks: list) -> int:
@@ -1598,7 +1608,6 @@ class ReplicatePipeline:
             + [d.checkpoint.remote(epoch, full) for d in self.dedup_shards]
             + [d.checkpoint.remote(epoch, full) for d in self.neardup_shards]
         )
-        self._gc_checkpoints(epoch)
         _marks.append(("checkpoint", _t()))
 
         # -- 6. commit (aux first, main last = source of truth) -------------
@@ -1614,23 +1623,6 @@ class ReplicatePipeline:
         if not flush:
             for fj in pay_frags:
                 staged["payload"].append(FragmentMeta.from_json(json.loads(fj)))
-        for s in self.SINKS:
-            if s == self.MAIN:
-                continue
-            self.sink[s].commit_epoch(self.name, epoch, staged[s])
-
-        if cfg.crash_at == (epoch, "before_main_commit"):
-            raise CrashPoint(f"injected crash before main commit of epoch {epoch}")
-
-        merged: dict = {}
-        for r in results:
-            for k, v in r["metrics"].items():
-                merged[k] = merged.get(k, 0) + v
-        for k, v in self._hot_metrics.items():
-            merged[k] = merged.get(k, 0) + v
-        for k, v in self._dedup_metrics.items():
-            merged[k] = merged.get(k, 0) + v
-        self._update_hot_detection(results, acks)
         # per-epoch lineage goes to an append-only SIDE LOG (bounded
         # manifests at any horizon); the line is written before the commit
         # so a committed epoch always has its entry, and replays write
@@ -1648,7 +1640,33 @@ class ReplicatePipeline:
             lineage_entry["neardup_dropped"] = self._neardup_epoch_dropped.pop(
                 epoch, 0
             )
-        self._append_lineage(lineage_entry)
+        # the aux commits and the lineage PUT touch disjoint objects, so
+        # they overlap; each commit keeps its own conditional-PUT retry
+        # loop.  All must land before the main commit, and any failure
+        # leaves the epoch uncommitted (replay re-commits idempotently).
+        pending = [
+            self._commit_pool.submit(
+                self.sink[s].commit_epoch, self.name, epoch, staged[s])
+            for s in self.SINKS if s != self.MAIN
+        ]
+        pending.append(self._commit_pool.submit(self._append_lineage,
+                                                lineage_entry))
+        futures.wait(pending)
+        for f in pending:
+            f.result()
+
+        if cfg.crash_at == (epoch, "before_main_commit"):
+            raise CrashPoint(f"injected crash before main commit of epoch {epoch}")
+
+        merged: dict = {}
+        for r in results:
+            for k, v in r["metrics"].items():
+                merged[k] = merged.get(k, 0) + v
+        for k, v in self._hot_metrics.items():
+            merged[k] = merged.get(k, 0) + v
+        for k, v in self._dedup_metrics.items():
+            merged[k] = merged.get(k, 0) + v
+        self._update_hot_detection(results, acks)
         self.sink[self.MAIN].commit_epoch(
             self.name,
             epoch,
@@ -2012,37 +2030,3 @@ class ReplicatePipeline:
             for k, c in self._key_counts.items():
                 if c >= floor:
                     self._hot.add(k)
-
-    def _gc_checkpoints(self, epoch: int):
-        """Delete checkpoint dirs no restore can need: everything before
-        the newest FULL snapshot at or below the retention horizon (a
-        delta is only restorable with its full base + contiguous chain)."""
-        keep = self.cfg.keep_checkpoints
-        min_needed = epoch - keep + 1
-        dirs = [
-            os.path.join(self.part_root, f"p{p:04d}")
-            for p in range(self.cfg.num_partitions)
-        ] + [
-            os.path.join(self.ckpt_root, f"d{s:04d}")
-            for s in range(len(self.dedup_shards))
-        ] + [
-            os.path.join(self.ckpt_root, f"n{s:04d}")
-            for s in range(len(self.neardup_shards))
-        ]
-        for d in dirs:
-            if not _fs.fisdir(d):
-                continue
-            fulls = [
-                int(n[1:])
-                for n in _fs.flist(d)
-                if n.startswith("e")
-                and _fs.fexists(os.path.join(d, n, "state.pkl"))
-            ]
-            base_candidates = [e for e in fulls if e <= min_needed]
-            if not base_candidates:
-                continue
-            base = max(base_candidates)
-            for n in _fs.flist(d):
-                if n.startswith("e") and int(n[1:]) < base:
-                    fs_i, dp = _fs.resolve(os.path.join(d, n))
-                    fs_i.delete_tree(dp)

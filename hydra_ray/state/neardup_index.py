@@ -344,17 +344,21 @@ def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
 def _make_shard_actor():
     import ray
 
+    from .store import CheckpointDir
+
     @ray.remote
     class _NearDupShardActor:
         """Same checkpoint/restore layout as the exact dedup shards
         (``n{shard}/e{epoch}`` dirs, full snapshots + delta chain)."""
 
         def __init__(self, shard: int, ckpt_root: str, max_hamming: int = 3,
-                     retention_ms: int = 0, metric: str = "bits"):
+                     retention_ms: int = 0, metric: str = "bits",
+                     keep_checkpoints: int = 2):
             self.state = NearDupIndexState(shard, max_hamming, retention_ms,
                                            metric)
             self.shard = shard
-            self.ckpt_root = ckpt_root
+            self.ckpt = CheckpointDir(
+                os.path.join(ckpt_root, f"n{shard:04d}"), keep_checkpoints)
 
         def submit(self, keys, fps, seqs, epoch: int, nonce: int,
                    ts=None) -> int:
@@ -368,37 +372,19 @@ def _make_shard_actor():
             return self.state.commit(epoch, kept_seqs, nonces)
 
         def checkpoint(self, epoch: int, full: bool = True) -> str:
-            d = os.path.join(self.ckpt_root, f"n{self.shard:04d}", f"e{epoch:06d}")
+            d = self.ckpt.path(epoch)
             self.state.save(d, full=full)
+            self.ckpt.saved(epoch, full)
             return d
 
         def restore(self, epoch: int) -> bool:
-            base = os.path.join(self.ckpt_root, f"n{self.shard:04d}")
-            from ..fs import fexists, fisdir, flist
-
+            """Restore ``epoch``'s chain; False = the dir holds nothing at
+            or below ``epoch`` (the tier was just enabled): start empty."""
             self.state.pending.clear()
-            if not fisdir(base):
+            chain = self.ckpt.restore_chain(epoch)
+            if chain is None:
                 return False
-            fulls, deltas = [], {}
-            for name in flist(base):
-                if not name.startswith("e"):
-                    continue
-                e = int(name[1:])
-                d = os.path.join(base, name)
-                if fexists(os.path.join(d, "state.pkl")):
-                    fulls.append(e)
-                elif fexists(os.path.join(d, "delta.pkl")):
-                    deltas[e] = d
-            fulls = [e for e in fulls if e <= epoch]
-            if not fulls:
-                return False
-            f = max(fulls)
-            chain = []
-            for e in range(f + 1, epoch + 1):
-                if e not in deltas:
-                    return False
-                chain.append(deltas[e])
-            self.state.restore_chain(os.path.join(base, f"e{f:06d}"), chain)
+            self.state.restore_chain(*chain)
             return True
 
         def n_entries(self) -> int:

@@ -28,7 +28,7 @@ import re
 import pyarrow as pa
 
 from ..fs import fexists, fget_npz, fisdir, flist
-from .store import PartitionState, find_restore_chain
+from .store import PartitionState, find_restore_chain, scan_checkpoints
 
 __all__ = ["latest_epoch", "read_state"]
 
@@ -47,13 +47,9 @@ def _partitions(ckpt_root: str) -> list[int]:
 def _max_restorable(base: str) -> int | None:
     """Largest epoch with a complete full+delta chain under one
     partition dir."""
-    if not fisdir(base):
-        return None
-    epochs = sorted(
-        int(n[1:]) for n in flist(base) if re.fullmatch(r"e\d{6}", n)
-    )
-    for e in reversed(epochs):
-        if find_restore_chain(base, e) is not None:
+    scan = scan_checkpoints(base)
+    for e in sorted(scan, reverse=True):
+        if find_restore_chain(base, e, scan) is not None:
             return e
     return None
 

@@ -1499,35 +1499,92 @@ def _classify(kind: str, table: pa.Table, wm: int) -> dict:
 
 
 # --------------------------------------------------------------------- actor
-def find_restore_chain(base: str, epoch: int) -> tuple[str, list[str]] | None:
-    """Locate the restore chain for ``epoch`` under one partition's
-    checkpoint dir: the newest FULL snapshot ≤ epoch plus every delta
-    after it up to epoch.  ``None`` when no restorable chain exists
-    (missing full, or a gap in the delta sequence)."""
-    from ..fs import fexists, fisdir, flist
+def scan_checkpoints(base: str) -> dict[int, bool]:
+    """Every complete checkpoint under one actor's checkpoint dir as
+    ``{epoch: is_full}`` (empty when the dir is absent).  A dir is a
+    full snapshot once its ``state.pkl`` exists, a delta once its
+    ``delta.pkl`` does (both are written last)."""
+    from ..fs import fexists, flist
 
-    if not fisdir(base):
-        return None
-    fulls, deltas = [], {}
+    out = {}
     for name in flist(base):
         if not name.startswith("e"):
             continue
-        e = int(name[1:])
         d = os.path.join(base, name)
         if fexists(os.path.join(d, "state.pkl")):
-            fulls.append(e)
+            out[int(name[1:])] = True
         elif fexists(os.path.join(d, "delta.pkl")):
-            deltas[e] = d
-    fulls = [e for e in fulls if e <= epoch]
+            out[int(name[1:])] = False
+    return out
+
+
+def find_restore_chain(base: str, epoch: int,
+                       scan: dict[int, bool] | None = None
+                       ) -> tuple[str, list[str]] | None:
+    """Locate the restore chain for ``epoch`` under one checkpoint dir
+    (partition, dedup shard or near-dup shard): the newest FULL snapshot
+    ≤ epoch plus every delta after it up to epoch.  ``None`` when no
+    restorable chain exists (missing full, or a gap in the delta
+    sequence).  ``scan`` reuses a ``scan_checkpoints(base)`` result."""
+    if scan is None:
+        scan = scan_checkpoints(base)
+    fulls = [e for e, full in scan.items() if full and e <= epoch]
     if not fulls:
         return None
     f = max(fulls)
-    chain = []
-    for e in range(f + 1, epoch + 1):
-        if e not in deltas:
-            return None  # broken chain
-        chain.append(deltas[e])
-    return os.path.join(base, f"e{f:06d}"), chain
+    if any(e not in scan for e in range(f + 1, epoch + 1)):
+        return None  # broken chain
+    return (os.path.join(base, f"e{f:06d}"),
+            [os.path.join(base, f"e{e:06d}") for e in range(f + 1, epoch + 1)])
+
+
+class CheckpointDir:
+    """One state actor's checkpoint dir, ``<base>/e{epoch:06d}``.
+
+    It remembers which epochs the dir holds and which of them are full
+    snapshots — from the scan at restore and from its own saves — so GC
+    after each save issues DELETEs only, no LIST/HEAD probes."""
+
+    def __init__(self, base: str, keep: int):
+        self.base = base
+        self.keep = keep
+        self.epochs: dict[int, bool] = {}
+
+    def path(self, epoch: int) -> str:
+        return os.path.join(self.base, f"e{epoch:06d}")
+
+    def restore_chain(self, epoch: int) -> tuple[str, list[str]] | None:
+        """``epoch``'s restore chain.  ``None`` when the dir holds no
+        checkpoint at or below ``epoch`` (absent, or only epochs a crashed
+        later attempt wrote); raises when it does but the chain is
+        broken — resuming from empty state would silently lose rows."""
+        self.epochs = scan_checkpoints(self.base)
+        chain = find_restore_chain(self.base, epoch, self.epochs)
+        if chain is None and any(e <= epoch for e in self.epochs):
+            raise RuntimeError(
+                f"{self.base} holds checkpoints at or below epoch {epoch} "
+                "but no restorable full + delta chain for it"
+            )
+        return chain
+
+    def saved(self, epoch: int, full: bool) -> None:
+        """Record ``epoch``'s checkpoint, then delete every epoch older
+        than the newest full snapshot ≤ min(epoch − keep + 1, epoch − 1):
+        no restore can need them.  The ``epoch − 1`` floor keeps the
+        chain of the last COMMITTED epoch — ``epoch`` itself is not
+        committed until the main sink commit that follows."""
+        from ..fs import resolve
+
+        self.epochs[epoch] = full
+        bound = min(epoch - self.keep + 1, epoch - 1)
+        base = max((e for e, f in self.epochs.items() if f and e <= bound),
+                   default=None)
+        if base is None:
+            return
+        for e in sorted(e for e in self.epochs if e < base):
+            fs_i, p = resolve(self.path(e))
+            fs_i.delete_tree(p)
+            del self.epochs[e]
 
 
 def _make_actor_cls():
@@ -1549,7 +1606,9 @@ def _make_actor_cls():
             self.state = PartitionState(partition, cfg)
             self.partition = partition
             self.sinks = {name: Table(root) for name, root in sink_roots.items()}
-            self.ckpt_root = ckpt_root
+            self.ckpt = CheckpointDir(
+                os.path.join(ckpt_root, f"p{partition:04d}"),
+                cfg.keep_checkpoints)
             # epoch-tagged stash: ingests are APPLIED at close time, so the
             # driver may overlap epoch e+1's decode/transfer with epoch e's
             # close/checkpoint/commit without interleaving state mutations.
@@ -1637,18 +1696,22 @@ def _make_actor_cls():
             return self.state.buffered_updates_for(frozenset(keys))
 
         def checkpoint(self, epoch: int, wm: int | None = None, full: bool = True) -> str:
-            d = os.path.join(self.ckpt_root, f"p{self.partition:04d}", f"e{epoch:06d}")
+            """Save, then GC this partition's own expired epochs."""
+            d = self.ckpt.path(epoch)
             self.state.save(d, wm=wm, full=full)
+            self.ckpt.saved(epoch, full)
             return d
 
         def restore(self, epoch: int) -> bool:
             """Restore epoch ``epoch``: the newest full snapshot ≤ epoch
-            plus every delta after it up to epoch (incremental chain)."""
-            base = os.path.join(self.ckpt_root, f"p{self.partition:04d}")
+            plus every delta after it up to epoch (incremental chain).
+            Raises when there is none: a committed epoch always has one."""
             self.pending.clear()  # un-closed stashed ingests replay from source
-            chain = find_restore_chain(base, epoch)
+            chain = self.ckpt.restore_chain(epoch)
             if chain is None:
-                return False
+                raise RuntimeError(
+                    f"partition {self.partition}: no checkpoint chain for "
+                    f"epoch {epoch} under {self.ckpt.base}")
             self.state.restore_chain(*chain)
             return True
 

@@ -404,6 +404,66 @@ def test_exactly_once_crash_resume(tmp_path, ray_session, clean_run, crash_point
     assert epochs == list(range(min(epochs), max(epochs) + 1))
 
 
+def test_keep_one_checkpoint_crash_resume(tmp_path, ray_session, clean_run):
+    """keep_checkpoints=1 keeps the last COMMITTED epoch's chain until
+    the main commit: a crash just before it (on a full-snapshot epoch)
+    resumes to the clean run's output."""
+    clean_sig = _content_signature(f"{clean_run[0]}/out")
+    root = str(tmp_path)
+    build_sources(root)
+    crash_cfg = cfg(full_checkpoint_every=2, keep_checkpoints=1,
+                    crash_at=(2, "before_main_commit"))
+    with pytest.raises(CrashPoint):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out", crash_cfg,
+                          f"{root}/updates").run()
+    ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                      cfg(full_checkpoint_every=2, keep_checkpoints=1),
+                      f"{root}/updates").run()
+    assert _content_signature(f"{root}/out") == clean_sig
+    with pytest.raises(ValueError, match="keep_checkpoints"):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out2",
+                          cfg(keep_checkpoints=0), f"{root}/updates")
+
+
+def test_resume_with_changed_checkpoint_cadence(tmp_path, ray_session,
+                                                clean_run):
+    """GC follows the snapshots actually written, not the configured
+    cadence: epochs 0-2 checkpoint as full 0 + deltas 1, 2; a resume with
+    full_checkpoint_every=2 writes epoch 3 as a delta on that chain and
+    crashes before committing it.  Inferring "2 is full" from the new
+    cadence would delete the chain of committed epoch 2."""
+    clean_sig = _content_signature(f"{clean_run[0]}/out")
+    root = str(tmp_path)
+    build_sources(root)
+    for c in (cfg(full_checkpoint_every=3, crash_at=(3, "before_close")),
+              cfg(full_checkpoint_every=2,
+                  crash_at=(3, "before_main_commit"))):
+        with pytest.raises(CrashPoint):
+            ReplicatePipeline(f"{root}/clips", f"{root}/out", c,
+                              f"{root}/updates").run()
+    ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                      cfg(full_checkpoint_every=2), f"{root}/updates").run()
+    assert _content_signature(f"{root}/out") == clean_sig
+
+
+def test_resume_refuses_missing_checkpoint(tmp_path, ray_session):
+    """A committed epoch whose partition checkpoint chain is gone must
+    fail the resume loudly, never restart that partition empty."""
+    import shutil
+
+    root = str(tmp_path)
+    build_sources(root)
+    with pytest.raises(CrashPoint):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                          cfg(crash_at=(2, "before_close")),
+                          f"{root}/updates").run()
+    # committed epoch 1 = full 0 + delta 1; drop the delta
+    shutil.rmtree(f"{root}/out/_checkpoints/p0001/e000001")
+    with pytest.raises(RuntimeError, match="no restorable"):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg(),
+                          f"{root}/updates").run()
+
+
 def test_long_run_bounded_manifest_and_delta_resume(tmp_path, ray_session):
     """Many-epoch run: per-epoch lineage lives in the side log (manifest
     properties stay O(1)), checkpoints between full snapshots are deltas,

@@ -382,3 +382,98 @@ def test_streaming_under_injected_latency(tmp_path, ray_session):
     # generous bound: protocol overhead must stay small-multiple, not
     # per-row/per-batch explosive (host noise makes tight bounds flaky)
     assert lat < base * 3 + 10, (base, lat)
+
+
+def test_metered_log_thread_safe(tmp_path):
+    """Threads of one process share a metered backend's op log (the
+    driver's concurrent sink commits do): every op of every thread is
+    counted exactly once, starting from the lazy first open."""
+    import sys
+    import threading
+
+    from hydra_ray.fs import meter_counts, metered_root
+
+    root = metered_root(str(tmp_path / "m"))
+    tok = root.split("-")[1]
+    fs, base = resolve(root)
+    n_threads, n_ops = 16, 300
+    start = threading.Barrier(n_threads)
+
+    def work(i):
+        p = os.path.join(base, f"t{i}")
+        start.wait()
+        fs.put(p, b"x")
+        for _ in range(n_ops):
+            fs.exists(p)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert meter_counts(tok) == {"put": n_threads,
+                                 "head": n_threads * n_ops}
+
+
+def test_checkpoint_gc_issues_deletes_only(tmp_path, ray_session):
+    """Checkpoint GC runs in each partition, dedup-shard and neardup-shard
+    actor from what it wrote: no HEAD/LIST on ``_checkpoints/`` at any
+    epoch (the same zero at 3 and 6 source versions), and exactly one
+    DELETE per epoch dir that leaves retention."""
+    from hydra_ray.fs import meter_counts, metered_root
+    from hydra_ray.pipelines.replicate import (
+        ReplicateConfig,
+        ReplicatePipeline,
+    )
+    from hydra_ray.synth import synth_clips_table
+
+    c = ReplicateConfig(
+        num_partitions=2, join_window_ms=5_000, allowed_lateness_ms=2_000,
+        window_size_ms=10_000, actor_num_cpus=0.25,
+        full_checkpoint_every=2, keep_checkpoints=2,
+        dedup=True, num_dedup_shards=2, neardup=True, num_neardup_shards=2,
+    )
+    dirs = ["p0000", "p0001", "d0000", "d0001", "n0000", "n0001"]
+    for versions in (3, 6):
+        tok = f"ckgc{versions}"
+        root = str(tmp_path / f"v{versions}")
+        clips = synth_clips_table(20 * versions)
+        ct = Table.create(f"{root}/clips", schema=clips.schema)
+        for v in range(versions):
+            ct.append(clips.slice(v * 20, 20))
+        out = metered_root(f"{root}/out", token=tok)
+        ReplicatePipeline(f"{root}/clips", out, c).run()
+        ck = os.path.join(root, "out", "_checkpoints")
+
+        counts = meter_counts(
+            tok, lambda p: p if p.startswith(ck + "/") else None)
+        probes = {k: n for k, n in counts.items() if k[0] in ("head", "list")}
+        assert probes == {}, probes
+        # epochs 0..versions (the last is the flush epoch), full snapshots
+        # at even epochs; after the last epoch everything older than the
+        # newest full at or below the last committed epoch is gone
+        last = versions
+        base = max(e for e in range(0, last) if e % 2 == 0)
+        expect = sorted(os.path.join(ck, d, f"e{e:06d}")
+                        for d in dirs for e in range(base))
+        deleted = {p: n for (op, p), n in counts.items() if op == "delete"}
+        assert deleted == dict.fromkeys(expect, 1)
+        # O(1) ops per actor per epoch: at most a data object + the pickle
+        puts: dict = {}
+        for (op, p), n in counts.items():
+            if op == "put":
+                edir = os.path.dirname(p)
+                puts[edir] = puts.get(edir, 0) + n
+        assert sorted(puts) == sorted(os.path.join(ck, d, f"e{e:06d}")
+                                      for d in dirs for e in range(last + 1))
+        assert max(puts.values()) <= 2, puts
+        for d in dirs:
+            assert sorted(os.listdir(os.path.join(ck, d))) == [
+                f"e{e:06d}" for e in range(base, last + 1)]
