@@ -864,7 +864,9 @@ def q_string_pack(sf_dir):
     """Second string-function pack (reverse / left / lpad / replace —
     Arrow utf8_reverse, utf8_slice_codeunits, ascii_lpad,
     replace_substring vs the DuckDB spellings; byte==char on this ASCII
-    corpus, which is what makes the codeunits slice oracle-exact)."""
+    corpus, which is what makes the codeunits slice oracle-exact).
+    DuckDB's ``lpad(s, 8, '0')`` also truncates a longer ``s`` to its
+    first 8 characters, which ``ascii_lpad`` alone does not."""
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
 
     def f(t: pa.Table) -> pa.Table:
@@ -872,8 +874,9 @@ def q_string_pack(sf_dir):
             "c_custkey": t["c_custkey"],
             "rname": pc.utf8_reverse(t["c_name"]),
             "l6": pc.utf8_slice_codeunits(t["c_name"], 0, 6),
-            "pad": pc.ascii_lpad(pc.cast(t["c_custkey"], pa.string()), 8,
-                                 padding="0"),
+            "pad": pc.utf8_slice_codeunits(
+                pc.ascii_lpad(pc.cast(t["c_custkey"], pa.string()), 8,
+                              padding="0"), 0, 8),
             "seg": pc.replace_substring(t["c_mktsegment"], pattern="U",
                                         replacement="_"),
         })

@@ -17,12 +17,12 @@ checkpoint/resume — the Ray-Data-native rebuild of:
 
 Epoch protocol (all steps deterministic given committed state):
   1. read source deltas (version ranges) as lazy Datasets
-  2. map_batches: decode clips / project updates, add partition column,
-     route per-partition slices to the owning state actor (acks carry
-     max event_ts per partition)
+  2. ingest tasks: decode clips / project updates, route per-partition
+     slices to the state host that runs the partition, one RPC per host
+     per batch (acks carry max event_ts per partition)
   3. advance watermark  wm = min over sources(max_ts) − allowed_lateness
-  4. close_epoch(epoch, wm) on every actor → staged sink fragments
-  5. actors checkpoint state for this epoch
+  4. close_epoch(epoch, wm) on every partition → staged sink fragments
+  5. every partition and shard checkpoints its state for this epoch
   6. commit aux sinks, then the main sink (single source of truth) with
      {lineage, watermark, checkpoints}; replay of any step is idempotent
 Crash at ANY point: resume restores the checkpoint of the main sink's
@@ -45,7 +45,13 @@ from .. import fs as _fs
 from ..hashing import hash64, partition_for
 from ..stages.decode import AudioDecoder
 from ..stages.skew import salted_partition_for
-from ..state.store import WATERMARK_MAX, PartitionStateActor
+from ..state.store import (
+    WATERMARK_MAX,
+    StateHostActor,
+    call_hosts,
+    host_layout,
+    slot_num_cpus,
+)
 from ..table import Table
 from ..table.lancelite import FragmentMeta
 
@@ -247,13 +253,14 @@ HEAVY_COLS = ("pcm", "n_samples", "bytes")
 
 class _Router:
     """The ingest task's route kernel: (decode →) partition slices →
-    heavy payload STAGED STRAIGHT TO THE SINK, light rows → state actors.
+    heavy payload STAGED STRAIGHT TO THE SINK, light rows → state hosts.
 
     The heavy decoded PCM takes the shortest possible path — read block →
     decode in-task → staged parquet fragment per (epoch, partition) —
     and never transits the object store again, never sits in actor state,
     never re-writes at checkpoint.  Only the light columns (ids,
-    timestamps, transcript, error) go to the per-partition state actors,
+    timestamps, transcript, error) go to the partitions' state hosts
+    (``handles[p]`` runs partition p; one ingest RPC per host per batch),
     which manage windows/join/late semantics and later emit light
     "finalize" rows; the logical replicated output is payload ⨝ finalize
     on ``seq`` (see ``read_replicated``).  This is the 100 TB-correct
@@ -265,8 +272,8 @@ class _Router:
     predicate the actor applies), so the 2PC commit of an epoch covers
     payloads and state outputs together and replay stays idempotent.
 
-    The ``ray.get`` on the acks back-pressures the task until the actor
-    has absorbed the slice — the bounded alternative to the reference's
+    Waiting for the acks back-pressures the task until the hosts have
+    absorbed the slices — the bounded alternative to the reference's
     unbounded producer queue (`KafkaClientAlgebra.scala:244`).
 
     Payload staging is BYTE-BOUNDED, not per-batch: the router
@@ -355,8 +362,6 @@ class _Router:
     def __call__(self, batch: pa.Table) -> list[dict]:
         import time as _time
 
-        import ray
-
         handles, kind, wm, key_col, P = (
             self.handles, self.kind, self.wm, self.key_col, self.P,
         )
@@ -414,7 +419,8 @@ class _Router:
             )
         else:
             parts = partition_for(keys, P)
-        funnel_refs = []
+        # (host, (slot, kind, table)) slices for this batch's ingest RPCs
+        items = []
         if kind == "clips" and self.funnel_on and hot_keys:
             # funnel state lives on the HOME partition only (per-key
             # sequential chain — never salted); fan the light funnel rows
@@ -431,9 +437,9 @@ class _Router:
                 hp = home[diff]
                 for p in np.unique(hp):
                     sub = mini.take(pa.array(np.flatnonzero(hp == p)))
-                    funnel_refs.append(
-                        handles[int(p)].ingest.remote("funnel", sub, wm, epoch, nonce)
-                    )
+                    items.append(
+                        (handles[int(p)], (("p", int(p)), "funnel", sub)))
+        n_funnel = len(items)
         replica_rows: dict = {}  # partition -> replica row indices
         if kind == "updates" and hot_keys:
             # fan hot-key updates out to every salt partition of the key
@@ -507,7 +513,6 @@ class _Router:
                     fbt["fbank_std"].combine_chunks().flatten()
                 ).reshape(-1, n_mels)
                 fb_nf[oki] = fbt["n_frames"].to_numpy(zero_copy_only=False)
-        refs, sent = [], []
         all_parts = np.union1d(
             np.unique(parts), np.array(sorted(replica_rows), dtype=parts.dtype)
         )
@@ -521,12 +526,13 @@ class _Router:
                 sub = sub.append_column("__replica", pa.array(flags))
             else:
                 sub = light.take(pa.array(prim))
-            # epoch tag is REQUIRED: actors stash and apply at close(epoch),
-            # so pipelined e+1 ingests can never leak into close(e) state
-            # or its checkpoint (which would double-ingest after a crash);
-            # the nonce lets close drop stashes from discarded pre-launches
-            refs.append(handles[p].ingest.remote(kind, sub, wm, epoch, nonce))
-            sent.append(int(p))
+            items.append((handles[p], (("p", int(p)), kind, sub)))
+        # epoch tag is REQUIRED: hosts stash and apply at close(epoch), so
+        # pipelined e+1 ingests can never leak into close(e) state or its
+        # checkpoint (which would double-ingest after a crash); the nonce
+        # lets close drop stashes from discarded pre-launches
+        acked = call_hosts("ingest", items, wm, epoch, nonce, wait=False)
+        for p in all_parts:
             if payload_root is not None:
                 keep = np.flatnonzero(ok & (parts == p))
                 if len(keep):
@@ -607,15 +613,13 @@ class _Router:
         if self._pbytes >= self.flush_bytes:
             self.frag_jsons.extend(self.flush().values())
         t2 = _time.perf_counter()
-        acks = ray.get(refs)
-        if funnel_refs:
-            ray.get(funnel_refs)
+        acks = acked()[n_funnel:]
         t3 = _time.perf_counter()
         return [
-            {"source": kind, "partition": p, "n": a["n"], "late": a["late"],
-             "max_ts": a["max_ts"], "decode_s": t1 - t0, "send_s": t2 - t1,
-             "ack_wait_s": t3 - t2}
-            for p, a in zip(sent, acks)
+            {"source": kind, "partition": int(p), "n": a["n"],
+             "late": a["late"], "max_ts": a["max_ts"], "decode_s": t1 - t0,
+             "send_s": t2 - t1, "ack_wait_s": t3 - t2}
+            for p, a in zip(all_parts, acks)
         ]
 
 
@@ -1003,7 +1007,10 @@ class ReplicatePipeline:
         self.clips = Table(clips_root)
         self.updates = Table(updates_root) if updates_root else None
         self.out_root = out_root
-        self.sink = {s: Table.create(os.path.join(out_root, s)) for s in self.SINKS}
+        with futures.ThreadPoolExecutor(len(self.SINKS)) as pool:
+            self.sink = dict(zip(self.SINKS, pool.map(
+                lambda s: Table.create(os.path.join(out_root, s)),
+                self.SINKS)))
         self.ckpt_root = os.path.join(out_root, "_checkpoints")
         # partition-state base dir: ``ckpt_root/<layout>`` once a rescale
         # committed a new layout generation (state key "ckpt_layout");
@@ -1011,6 +1018,9 @@ class ReplicatePipeline:
         # shard tiers are content-hash keyed (independent of partition
         # count) and always live at ckpt_root itself.
         self.part_root = self.ckpt_root
+        # state hosts, by slot: ``actors[p]`` runs partition p,
+        # ``dedup_shards[d]`` / ``neardup_shards[n]`` run those shards
+        # (one handle per slot, so hosts repeat across the three lists)
         self.actors = []
         self.frontiers: dict[str, int] = {}
         self._nonce_counter = 0
@@ -1031,40 +1041,11 @@ class ReplicatePipeline:
 
     # ----------------------------------------------------------- lifecycle
     def _spawn_actors(self):
-        import ray  # noqa: F401
-
-        cls = PartitionStateActor()
+        """Start the state hosts: ``host_layout`` deals the partition,
+        dedup-shard and near-dup-shard slots to a pool sized from their
+        CPU reservation, never from the slot count."""
         cfg = self.cfg
-        # the actors get the config itself, minus the ingest-side hooks
-        # (they run in the routing tasks, never in state)
-        state_cfg = replace(cfg, payload_transform=None, payload_filter=None)
-        sink_roots = {s: t.uri for s, t in self.sink.items()}
-        # SPREAD: balance partition actors across cluster nodes (a no-op
-        # in single-node local mode; on a real cluster it keeps one
-        # node's failure from taking out every partition's state)
-        self.actors = [
-            cls.options(num_cpus=cfg.actor_num_cpus,
-                        scheduling_strategy="SPREAD").remote(
-                p, state_cfg, sink_roots, self.part_root
-            )
-            for p in range(cfg.num_partitions)
-        ]
-        # placement record (survives teardown — ops/test introspection)
-        self.actor_nodes = ray.get([a.node_id.remote() for a in self.actors])
-        if cfg.dedup:
-            from ..state.dedup_index import DedupShardActor
-
-            dcls = DedupShardActor()
-            self.dedup_shards = [
-                dcls.options(num_cpus=0.1).remote(
-                    d, self.ckpt_root, cfg.dedup_retention_ms,
-                    cfg.keep_checkpoints,
-                )
-                for d in range(cfg.num_dedup_shards)
-            ]
         if cfg.neardup:
-            from ..state.neardup_index import NearDupShardActor
-
             if cfg.neardup_signature == "minhash":
                 if not 1 <= cfg.neardup_min_band_matches <= cfg.neardup_bands:
                     raise ValueError(
@@ -1077,33 +1058,45 @@ class ReplicatePipeline:
                     "neardup_max_hamming must be < neardup_bands "
                     "(pigeonhole recall guarantee)"
                 )
-            ncls = NearDupShardActor()
-            self.neardup_shards = [
-                ncls.options(num_cpus=0.1).remote(
-                    d, self.ckpt_root, self._neardup_threshold(),
-                    cfg.neardup_retention_ms, self._neardup_metric(),
-                    cfg.keep_checkpoints,
-                )
-                for d in range(cfg.num_neardup_shards)
-            ]
+        cls = StateHostActor()
+        # the hosts get the config itself, minus the ingest-side hooks
+        # (they run in the routing tasks, never in state)
+        state_cfg = replace(cfg, payload_transform=None, payload_filter=None)
+        sink_roots = {s: t.uri for s, t in self.sink.items()}
+        host_of, hosts = {}, []
+        for slots in host_layout(cfg):
+            # SPREAD: balance hosts across cluster nodes (a no-op in
+            # single-node local mode; on a real cluster it keeps one
+            # node's failure from taking out every partition's state)
+            h = cls.options(
+                num_cpus=round(sum(slot_num_cpus(cfg, s) for s in slots), 4),
+                scheduling_strategy="SPREAD",
+            ).remote(slots, state_cfg, sink_roots, self.part_root,
+                     self.ckpt_root)
+            hosts.append(h)
+            host_of.update((s, h) for s in slots)
+        self.actors = [host_of["p", i] for i in range(cfg.num_partitions)]
+        self.dedup_shards = [host_of["d", i] for i in range(
+            cfg.num_dedup_shards if cfg.dedup else 0)]
+        self.neardup_shards = [host_of["n", i] for i in range(
+            cfg.num_neardup_shards if cfg.neardup else 0)]
+        # placement record, read at the end of run() (survives teardown —
+        # ops/test introspection); nothing waits for the hosts to start
+        # before the first RPC that needs them
+        self._node_refs = [h.node_id.remote() for h in hosts]
 
-    def _neardup_metric(self) -> str:
-        return "lanes" if self.cfg.neardup_signature == "minhash" else "bits"
-
-    def _neardup_threshold(self) -> int:
-        """Max distance in the active metric's units: bit-Hamming for
-        audio_fp/simhash, unequal lanes (= bands − min matches) for the
-        banded-minhash mode."""
-        cfg = self.cfg
-        if cfg.neardup_signature == "minhash":
-            return cfg.neardup_bands - cfg.neardup_min_band_matches
-        return cfg.neardup_max_hamming
+    def _slots(self, *kinds: str) -> list:
+        """``(host, slot)`` pairs of every slot of the given kinds."""
+        handles = {"p": self.actors, "d": self.dedup_shards,
+                   "n": self.neardup_shards}
+        return [(h, (k, i)) for k in kinds for i, h in enumerate(handles[k])]
 
     def _shutdown_actors(self):
         import ray
 
-        for a in self.actors + self.dedup_shards + self.neardup_shards:
-            ray.kill(a, no_restart=True)
+        for h in dict.fromkeys(
+                self.actors + self.dedup_shards + self.neardup_shards):
+            ray.kill(h, no_restart=True)
         self.actors = []
         self.dedup_shards = []
         self.neardup_shards = []
@@ -1134,14 +1127,21 @@ class ReplicatePipeline:
         self.part_root = (
             os.path.join(self.ckpt_root, layout) if layout else self.ckpt_root
         )
-        stored_p = int(state.get("num_partitions", 0))
-        if committed >= 0 and stored_p and stored_p != self.cfg.num_partitions:
-            raise ValueError(
-                f"committed state has num_partitions={stored_p} but config "
-                f"says {self.cfg.num_partitions}; partition count is state "
-                "layout — run hydra_ray.state.rescale.rescale_state first"
-            )
-        if committed >= 0 and stored_p and _fs.fisdir(self.part_root):
+        if committed >= 0:
+            # every commit records the partition count (_finish_epoch)
+            if "num_partitions" not in state:
+                raise ValueError(
+                    f"committed state of pipeline {self.name!r} has no "
+                    "num_partitions field; this out root was not written "
+                    "by ReplicatePipeline")
+            stored_p = int(state["num_partitions"])
+            if stored_p != self.cfg.num_partitions:
+                raise ValueError(
+                    f"committed state has num_partitions={stored_p} but "
+                    f"config says {self.cfg.num_partitions}; partition count "
+                    "is state layout — run "
+                    "hydra_ray.state.rescale.rescale_state first"
+                )
             # a checkpoint layout that disagrees with the committed
             # partition count must be refused, never silently restored
             actual = sum(
@@ -1156,18 +1156,18 @@ class ReplicatePipeline:
                     "rescale_state (or point ckpt_layout back at a "
                     "consistent generation via update_pipeline_state)"
                 )
-        for t in self.sink.values():
-            t.gc_staged()
-        self._spawn_actors()
-        # runs each epoch's aux sink commits and lineage PUT concurrently
+        # runs the start-up gc_staged calls, then each epoch's aux sink
+        # commits and lineage PUT, concurrently
         self._commit_pool = futures.ThreadPoolExecutor(len(self.SINKS))
         try:
+            gc = [self._commit_pool.submit(t.gc_staged)
+                  for t in self.sink.values()]
+            self._spawn_actors()
             if committed >= 0:
-                ray.get(
-                    [a.restore.remote(committed) for a in self.actors]
-                    + [d.restore.remote(committed) for d in self.dedup_shards]
-                    + [d.restore.remote(committed) for d in self.neardup_shards]
-                )
+                call_hosts("restore", self._slots("p", "d", "n"), committed)
+            # no writer runs before the first ingest launch
+            for f in gc:
+                f.result()
             epoch = committed + 1
             clips_v = int(state.get("clips_version", 0))
             updates_v = int(state.get("updates_version", 0))
@@ -1256,6 +1256,7 @@ class ReplicatePipeline:
                 flushed = False
                 epoch += 1
                 n_epochs += 1
+            self.actor_nodes = ray.get(self._node_refs)
             return {
                 k: v for k, v in metrics.items() if not k.startswith("__")
             } | {"epochs": epoch, "watermark": wm}
@@ -1441,18 +1442,15 @@ class ReplicatePipeline:
         """Fan a newly-hot key's buffered update revisions from its home
         partition to its salt partitions, as replica ingests stashed for
         ``epoch`` under this launch's nonce."""
-        import ray
-
         P = self.cfg.num_partitions
         keys_np = np.asarray(keys, dtype=object)
         homes = partition_for(keys_np, P)
         by_home: dict[int, list[str]] = {}
         for k, h in zip(keys, homes):
             by_home.setdefault(int(h), []).append(k)
-        fetched = ray.get(
-            [self.actors[h].buffered_updates_for.remote(ks) for h, ks in by_home.items()]
-        )
-        refs = []
+        fetched = call_hosts("buffered_updates_for", [
+            (self.actors[h], (("p", h), ks)) for h, ks in by_home.items()])
+        items = []
         for (h, _ks), res in zip(by_home.items(), fetched):
             if res is None:
                 continue
@@ -1476,13 +1474,8 @@ class ReplicatePipeline:
                         "__replica": pa.array(np.ones(len(sel), dtype=bool)),
                     }
                 )
-                refs.append(
-                    self.actors[p].ingest.remote(
-                        "updates", tbl, -(1 << 62), epoch, nonce
-                    )
-                )
-        if refs:
-            ray.get(refs)
+                items.append((self.actors[p], (("p", p), "updates", tbl)))
+        call_hosts("ingest", items, -(1 << 62), epoch, nonce)
 
     def _collect_acks(self, launched, epoch: int) -> tuple[list, list]:
         """→ (ack dicts, payload fragment json strings)."""
@@ -1498,10 +1491,8 @@ class ReplicatePipeline:
             ray.get(refs)
             drop_parts = []
             if self.dedup_shards:
-                resolved = ray.get(
-                    [d.resolve.remote(ep, dict(self._nonces), wm_prev)
-                     for d in self.dedup_shards]
-                )
+                resolved = call_hosts("resolve", self._slots("d"), ep,
+                                      dict(self._nonces), wm_prev)
                 drop_parts += [r[0] for r in resolved if len(r[0])]
                 dropped = int(sum(st["dropped"] for _, st in resolved))
                 new_hashes = int(sum(st["new"] for _, st in resolved))
@@ -1513,12 +1504,16 @@ class ReplicatePipeline:
                 )
                 self._dedup_epoch_dropped[ep] = dropped
             if self.neardup_shards:
-                from ..state.neardup_index import resolve_near_epoch
+                from ..state.neardup_index import (
+                    neardup_metric,
+                    neardup_threshold,
+                    resolve_near_epoch,
+                )
 
                 kept, ndrop = resolve_near_epoch(
-                    self.neardup_shards, ep, dict(self._nonces),
-                    self.cfg.neardup_bands, self._neardup_threshold(),
-                    wm_prev, self._neardup_metric(),
+                    self._slots("n"), ep, dict(self._nonces),
+                    self.cfg.neardup_bands, neardup_threshold(self.cfg),
+                    wm_prev, neardup_metric(self.cfg),
                 )
                 if len(ndrop):
                     drop_parts.append(ndrop)
@@ -1569,8 +1564,6 @@ class ReplicatePipeline:
     ) -> dict:
         import time as _time
 
-        import ray
-
         _debug = os.environ.get("HYDRA_DEBUG_TIMING")
         _t = _time.perf_counter
         _marks = [("start", _t())]
@@ -1584,12 +1577,8 @@ class ReplicatePipeline:
 
         # -- 4. close → staged fragments ------------------------------------
         hot_list = sorted(self._hot) if cfg.hot_key_threshold else None
-        results = ray.get(
-            [
-                a.close_epoch.remote(epoch, wm, self._nonces, hot_list)
-                for a in self.actors
-            ]
-        )
+        results = call_hosts("close", self._slots("p"), epoch, wm,
+                             self._nonces, hot_list)
         self._nonces = {e: x for e, x in self._nonces.items() if e > epoch}
         # merge hot-key partials across salt partitions (driver-side: the
         # row count is bounded by hot keys × windows closed this epoch),
@@ -1603,11 +1592,7 @@ class ReplicatePipeline:
 
         # -- 5. checkpoint (full every K epochs, deltas between) ------------
         full = (epoch % max(cfg.full_checkpoint_every, 1)) == 0
-        ray.get(
-            [a.checkpoint.remote(epoch, wm, full) for a in self.actors]
-            + [d.checkpoint.remote(epoch, full) for d in self.dedup_shards]
-            + [d.checkpoint.remote(epoch, full) for d in self.neardup_shards]
-        )
+        call_hosts("checkpoint", self._slots("p", "d", "n"), epoch, wm, full)
         _marks.append(("checkpoint", _t()))
 
         # -- 6. commit (aux first, main last = source of truth) -------------
@@ -1735,8 +1720,6 @@ class ReplicatePipeline:
         Deterministic under replay (state is epoch-atomic) and
         routing-independent (pure addition over partition partials).
         Returns [(sink_name, FragmentMeta), ...]."""
-        import ray
-
         import pandas as pd
 
         def union(key):
@@ -1763,10 +1746,8 @@ class ReplicatePipeline:
             else None
         if w_cells is None and s_cells is None and not skeys_l:
             return []
-        parts = ray.get([
-            a.render_window_cells.remote(w_cells, s_cells, skeys_l)
-            for a in self.actors
-        ])
+        parts = call_hosts("render", self._slots("p"), w_cells, s_cells,
+                           skeys_l)
         staged = []
         for idx, sink_name in ((0, "windows_live"), (1, "sliding_live")):
             frames = [p[idx].to_pandas() for p in parts
@@ -1822,8 +1803,6 @@ class ReplicatePipeline:
           key's home partition (must precede the epoch checkpoint).
         Returns [(sink_name, FragmentMeta)] to include in the commit.
         """
-        import ray
-
         from ..state.store import _stamp
 
         cfg = self.cfg
@@ -2005,12 +1984,9 @@ class ReplicatePipeline:
                     self._hot_metrics.get("sessions_closed", 0) + len(closed_rows)
                 )
             if open_by_home:
-                ray.get(
-                    [
-                        self.actors[h].adopt_sessions.remote(sess)
-                        for h, sess in open_by_home.items()
-                    ]
-                )
+                call_hosts("adopt_sessions", [
+                    (self.actors[h], (("p", h), sess))
+                    for h, sess in open_by_home.items()])
         return staged
 
     def _update_hot_detection(self, results: list, acks: list):

@@ -1,1 +1,1 @@
-from .store import PartitionState, PartitionStateActor, WATERMARK_MAX  # noqa: F401
+from .store import PartitionState, StateHost, StateHostActor, WATERMARK_MAX  # noqa: F401

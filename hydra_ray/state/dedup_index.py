@@ -4,19 +4,21 @@ Training-data ingest at 100 TB needs corpus-history dedup: a clip whose
 content was already ingested in ANY earlier epoch should be dropped
 BEFORE it costs decode CPU, state-actor memory and sink bytes.  Content
 duplicates arrive under unrelated clip_ids, so the seen-set cannot live
-in the clip-keyed partition state actors — it is its own tier, sharded
-by ``content_hash % num_shards`` (disjoint state, linear scale-out; one
-of the few places a shared mutable index forces raw actors instead of a
-Dataset op).
+in the clip-keyed partition state — it is its own tier, sharded by
+``content_hash % num_shards`` (disjoint state, linear scale-out; one of
+the few places a shared mutable index forces actor state instead of a
+Dataset op).  Shards are slots of the ``store.StateHost`` actors, next
+to the partitions.
 
-Epoch protocol (mirrors ``PartitionStateActor``'s stash/close discipline
+Epoch protocol (mirrors the partition slots' stash/close discipline
 so crash replay is byte-identical, and decisions are arrival-order AND
 routing independent):
 
 1. HASH PASS — one raw task per source fragment reads ONLY
    ``(seq, content cols)`` (parquet column pruning, no decode), hashes
-   rows vectorized, and ships ``(hash, seq)`` slices to their shards,
-   which STASH them under ``(epoch, nonce)``.
+   rows vectorized, and ships ``(hash, seq)`` slices to their shards
+   (one ``submit`` RPC per host), which STASH them under
+   ``(epoch, nonce)``.
 2. ``resolve(epoch, nonces)`` — each shard folds the authoritative
    stashes and decides per hash: the winner is the **min-seq** row;
    every seq whose hash is already in the committed seen set drops, and
@@ -27,7 +29,7 @@ routing independent):
 3. The ingest pass filters dropped seqs before decode/routing.
 4. ``checkpoint(epoch, full)`` — full = the whole seen set; delta = just
    this epoch's new hashes (same full/delta cadence and restore-chain
-   rules as the partition state actors).
+   rules as the partition slots).
 
 The seen set is LSM-ish: sorted uint64 runs (one per epoch since the
 last compaction) over a sorted base; membership is a ``searchsorted``
@@ -47,7 +49,6 @@ this tier generalizes it to content identity across the whole corpus.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 
@@ -55,7 +56,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-__all__ = ["DedupIndexState", "DedupShardActor", "content_hash_of", "in_sorted"]
+__all__ = ["DedupIndexState", "content_hash_of", "in_sorted"]
 
 _MAX_RUNS = 8
 
@@ -81,8 +82,8 @@ def in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class DedupIndexState:
-    """One shard's seen-set + per-epoch stash (plain object; the actor
-    wrapper adds checkpoint I/O).
+    """One shard's seen-set + per-epoch stash (plain object; its state
+    host adds checkpoint I/O).
 
     ``retention_ms`` bounds the state for endless streams: an entry whose
     FIRST-SEEN event time falls below ``watermark − retention_ms`` evicts
@@ -232,73 +233,13 @@ class DedupIndexState:
         self._delta_new = []
 
 
-def _make_shard_actor():
-    import ray
-
-    from .store import CheckpointDir
-
-    @ray.remote
-    class _DedupShardActor:
-        """Checkpoint/restore layout mirrors the partition state actors
-        (``d{shard}/e{epoch}`` dirs, full snapshots + delta chain)."""
-
-        def __init__(self, shard: int, ckpt_root: str, retention_ms: int = 0,
-                     keep_checkpoints: int = 2):
-            self.state = DedupIndexState(shard, retention_ms)
-            self.shard = shard
-            self.ckpt = CheckpointDir(
-                os.path.join(ckpt_root, f"d{shard:04d}"), keep_checkpoints)
-
-        def submit(self, hashes, seqs, epoch: int, nonce: int,
-                   ts=None) -> int:
-            self.state.submit(hashes, seqs, epoch, nonce, ts)
-            return len(hashes)
-
-        def resolve(self, epoch: int, nonces: dict | None, wm=None):
-            return self.state.resolve(epoch, nonces, wm)
-
-        def checkpoint(self, epoch: int, full: bool = True) -> str:
-            d = self.ckpt.path(epoch)
-            self.state.save(d, full=full)
-            self.ckpt.saved(epoch, full)
-            return d
-
-        def restore(self, epoch: int) -> bool:
-            """Restore ``epoch``'s chain; False = the dir holds nothing at
-            or below ``epoch`` (the tier was just enabled): start empty."""
-            self.state.pending.clear()
-            chain = self.ckpt.restore_chain(epoch)
-            if chain is None:
-                return False
-            self.state.restore_chain(*chain)
-            return True
-
-        def n_hashes(self) -> int:
-            return self.state.n_hashes()
-
-        def ping(self) -> int:
-            return self.shard
-
-    return _DedupShardActor
-
-
-_SHARD_CLS = None
-
-
-def DedupShardActor():
-    """Lazy accessor (keeps module import Ray-free)."""
-    global _SHARD_CLS
-    if _SHARD_CLS is None:
-        _SHARD_CLS = _make_shard_actor()
-    return _SHARD_CLS
-
-
 _HASH_TASK = None
 
 
 def hash_pass_task():
     """Lazy raw-task: read (seq, content cols) from one fragment file —
-    column-pruned, no decode — hash, ship per-shard slices.
+    column-pruned, no decode — hash, ship per-shard slices to the hosts
+    in ``shards`` (the host of each shard; one ``submit`` per host).
     ``max_retries=0``: the epoch-level retry owns failures; a relaunched
     pass carries a fresh nonce so stale stashes are dropped at resolve."""
     global _HASH_TASK
@@ -311,8 +252,9 @@ def hash_pass_task():
             import pyarrow.parquet as pq
 
             from ..stages.windows import ts_to_ms
+            from .store import call_hosts
 
-            refs, n = [], 0
+            parts, n = [], 0
             read_cols = list(dict.fromkeys([seq_col, ts_col, *cols]))
             for path in paths:
                 t = pq.read_table(path, columns=read_cols)
@@ -324,11 +266,10 @@ def hash_pass_task():
                 sh = (h % np.uint64(len(shards))).astype(np.int64)
                 for d in np.unique(sh):
                     m = sh == d
-                    refs.append(
-                        shards[d].submit.remote(h[m], s[m], epoch, nonce, ts[m])
-                    )
+                    parts.append(
+                        (shards[d], (("d", int(d)), (h[m], s[m]), ts[m])))
                 n += t.num_rows
-            ray.get(refs)
+            call_hosts("submit", parts, epoch, nonce)
             return n
 
         _HASH_TASK = hash_fragment

@@ -1,4 +1,4 @@
-"""Cross-epoch streaming NEAR-dup: a banded-fingerprint shard-actor tier.
+"""Cross-epoch streaming NEAR-dup: a banded-fingerprint shard tier.
 
 The exact tier (``state/dedup_index.py``) drops byte-identical re-ingests;
 re-encoded / faintly-noised copies of already-ingested audio slip past it.
@@ -24,7 +24,8 @@ decisions are arrival-order AND routing independent):
 1. FINGERPRINT PASS — one raw task per source fragment reads ONLY
    ``(seq, bytes, codec, sr_hz)``, decodes, fingerprints (both
    vectorized), and ships band-entry slices ``(key, fp, seq)`` to their
-   shards, which STASH them under ``(epoch, nonce)``.  Rows that fail
+   shards (slots of the ``store.StateHost`` actors; one ``submit`` RPC
+   per host), which STASH them under ``(epoch, nonce)``.  Rows that fail
    decode get no fingerprint and are never near-dup-dropped (they DLQ at
    ingest like always).
 2. ``resolve(epoch, nonces)`` — each shard probes its authoritative
@@ -56,10 +57,11 @@ import pyarrow as pa
 
 __all__ = [
     "NearDupIndexState",
-    "NearDupShardActor",
     "band_entries",
     "hamming64",
     "greedy_keep",
+    "neardup_metric",
+    "neardup_threshold",
     "resolve_near_epoch",
     "fp_pass_task",
 ]
@@ -307,22 +309,38 @@ class NearDupIndexState:
         self._delta_new = []
 
 
+def neardup_metric(cfg) -> str:
+    """The index's distance metric for ``cfg.neardup_signature``."""
+    return "lanes" if cfg.neardup_signature == "minhash" else "bits"
+
+
+def neardup_threshold(cfg) -> int:
+    """Max distance in the active metric's units: bit-Hamming for
+    audio_fp/simhash, unequal lanes (= bands − min matches) for the
+    banded-minhash mode."""
+    if cfg.neardup_signature == "minhash":
+        return cfg.neardup_bands - cfg.neardup_min_band_matches
+    return cfg.neardup_max_hamming
+
+
 def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
                        n_bands: int, max_hamming: int, wm=None,
                        metric: str = "bits"):
     """Driver-side epoch resolve: gather per-entry verdicts from every
     shard, OR them per row, run the intra-epoch greedy over the
     committed-clean survivors, commit kept rows back to the shards.
+    ``shards`` lists ``(host, slot)`` pairs; each host gets one
+    ``resolve`` and one ``commit`` RPC.
 
     → ``(kept_seqs, drop_seqs)`` both sorted int64.  ``drop`` covers only
     fingerprinted rows — undecodable rows never appear and pass through.
     """
-    import ray
+    from .store import call_hosts
 
-    res = ray.get([s.resolve.remote(epoch, nonces, wm) for s in shards])
+    res = call_hosts("resolve", shards, epoch, nonces, wm)
     if not any(len(r[0]) for r in res):
         z = np.empty(0, np.int64)
-        ray.get([s.commit.remote(epoch, z, nonces) for s in shards])
+        call_hosts("commit", shards, epoch, z, nonces)
         return z, z
     seqs = np.concatenate([r[0] for r in res])
     fps = np.concatenate([r[1] for r in res])
@@ -337,74 +355,8 @@ def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
     clean = ~row_matched
     kept = greedy_keep(gs[clean], gf[clean], n_bands, max_hamming, metric)
     drop = np.setdiff1d(gs, kept, assume_unique=True)
-    ray.get([sh.commit.remote(epoch, kept, nonces) for sh in shards])
+    call_hosts("commit", shards, epoch, kept, nonces)
     return kept, drop
-
-
-def _make_shard_actor():
-    import ray
-
-    from .store import CheckpointDir
-
-    @ray.remote
-    class _NearDupShardActor:
-        """Same checkpoint/restore layout as the exact dedup shards
-        (``n{shard}/e{epoch}`` dirs, full snapshots + delta chain)."""
-
-        def __init__(self, shard: int, ckpt_root: str, max_hamming: int = 3,
-                     retention_ms: int = 0, metric: str = "bits",
-                     keep_checkpoints: int = 2):
-            self.state = NearDupIndexState(shard, max_hamming, retention_ms,
-                                           metric)
-            self.shard = shard
-            self.ckpt = CheckpointDir(
-                os.path.join(ckpt_root, f"n{shard:04d}"), keep_checkpoints)
-
-        def submit(self, keys, fps, seqs, epoch: int, nonce: int,
-                   ts=None) -> int:
-            self.state.submit(keys, fps, seqs, epoch, nonce, ts)
-            return len(keys)
-
-        def resolve(self, epoch: int, nonces: dict | None, wm=None):
-            return self.state.resolve(epoch, nonces, wm)
-
-        def commit(self, epoch: int, kept_seqs, nonces: dict | None) -> int:
-            return self.state.commit(epoch, kept_seqs, nonces)
-
-        def checkpoint(self, epoch: int, full: bool = True) -> str:
-            d = self.ckpt.path(epoch)
-            self.state.save(d, full=full)
-            self.ckpt.saved(epoch, full)
-            return d
-
-        def restore(self, epoch: int) -> bool:
-            """Restore ``epoch``'s chain; False = the dir holds nothing at
-            or below ``epoch`` (the tier was just enabled): start empty."""
-            self.state.pending.clear()
-            chain = self.ckpt.restore_chain(epoch)
-            if chain is None:
-                return False
-            self.state.restore_chain(*chain)
-            return True
-
-        def n_entries(self) -> int:
-            return self.state.n_entries()
-
-        def ping(self) -> int:
-            return self.shard
-
-    return _NearDupShardActor
-
-
-_SHARD_CLS = None
-
-
-def NearDupShardActor():
-    """Lazy accessor (keeps module import Ray-free)."""
-    global _SHARD_CLS
-    if _SHARD_CLS is None:
-        _SHARD_CLS = _make_shard_actor()
-    return _SHARD_CLS
 
 
 _FP_TASK = None
@@ -412,8 +364,9 @@ _FP_TASK = None
 
 def fp_pass_task():
     """Lazy raw-task: read ``(seq, bytes, codec, sr_hz)`` from fragment
-    files, decode + fingerprint (vectorized), ship band entries to
-    shards.  ``max_retries=0``: the epoch-level retry owns failures; a
+    files, decode + fingerprint (vectorized), ship band entries to the
+    hosts in ``shards`` (the host of each shard; one ``submit`` per
+    host).  ``max_retries=0``: the epoch-level retry owns failures; a
     relaunch carries a fresh nonce so stale stashes drop at resolve."""
     global _FP_TASK
     if _FP_TASK is None:
@@ -427,6 +380,21 @@ def fp_pass_task():
 
             from ..audio import decode_batch
             from ..stages.audio_features import audio_fingerprint
+            from ..stages.windows import ts_to_ms as _tms
+            from .store import call_hosts
+
+            parts, n = [], 0
+
+            def ship(keys, fps, seqs, row_ts):
+                """Queue one entry slice per shard the band keys hit."""
+                sh = shard_of(keys, len(shards))
+                efps = np.repeat(fps, n_bands)
+                eseqs = np.repeat(seqs, n_bands)
+                ets = np.repeat(row_ts, n_bands)
+                for d in np.unique(sh):
+                    m = sh == d
+                    parts.append((shards[d], (
+                        ("n", int(d)), (keys[m], efps[m], eseqs[m]), ets[m])))
 
             if signature in ("simhash", "minhash"):
                 # text modes over the transcript column — one
@@ -442,7 +410,6 @@ def fp_pass_task():
 
                 hasher = (SimHasher(text_col="transcript", id_col=seq_col)
                           if signature == "simhash" else None)
-                refs, n = [], 0
                 for path in paths:
                     t = pq.read_table(
                         path, columns=[seq_col, "event_ts", "transcript"])
@@ -450,8 +417,6 @@ def fp_pass_task():
                         t = t.slice(row_lo, row_cnt)
                     if t.num_rows == 0:
                         continue
-                    from ..stages.windows import ts_to_ms as _tms
-
                     row_ts = _tms(t["event_ts"])
                     if hasher is not None:
                         out = hasher(t)
@@ -461,21 +426,9 @@ def fp_pass_task():
                         fps = minhash_band_signature(
                             t["transcript"].to_pylist(), n_bands=n_bands)
                         seqs = t[seq_col].to_numpy()
-                    keys = band_entries(fps, n_bands)
-                    sh = shard_of(keys, len(shards))
-                    efps = np.repeat(fps, n_bands)
-                    eseqs = np.repeat(seqs, n_bands)
-                    ets = np.repeat(row_ts, n_bands)
-                    for d in np.unique(sh):
-                        m = sh == d
-                        refs.append(
-                            shards[d].submit.remote(
-                                keys[m], efps[m], eseqs[m], epoch, nonce,
-                                ets[m]
-                            )
-                        )
+                    ship(band_entries(fps, n_bands), fps, seqs, row_ts)
                     n += t.num_rows
-                ray.get(refs)
+                call_hosts("submit", parts, epoch, nonce)
                 return n
 
             # decode+fingerprint in SMALL row chunks: the kernels run over
@@ -486,7 +439,6 @@ def fp_pass_task():
             # Chunking never changes fingerprints (batch-composition
             # independence is a tested kernel property).
             CHUNK = 32
-            refs, n = [], 0
             for path in paths:
                 t = pq.read_table(
                     path, columns=[seq_col, "event_ts", "bytes", "codec",
@@ -497,8 +449,6 @@ def fp_pass_task():
                     # across tasks (decode is the dominant cost; the
                     # column-pruned read it duplicates is ~0.1 s)
                     t = t.slice(row_lo, row_cnt)
-                from ..stages.windows import ts_to_ms as _tms
-
                 fps_parts, seq_parts, ts_parts = [], [], []
                 for lo in range(0, t.num_rows, CHUNK):
                     c = t.slice(lo, CHUNK)
@@ -519,22 +469,10 @@ def fp_pass_task():
                 if not fps_parts:
                     continue
                 fps = np.concatenate(fps_parts)
-                seqs = np.concatenate(seq_parts)
-                row_ts = np.concatenate(ts_parts)
-                keys = band_entries(fps, n_bands)
-                efps = np.repeat(fps, n_bands)
-                eseqs = np.repeat(seqs, n_bands)
-                ets = np.repeat(row_ts, n_bands)
-                sh = shard_of(keys, len(shards))
-                for d in np.unique(sh):
-                    m = sh == d
-                    refs.append(
-                        shards[d].submit.remote(
-                            keys[m], efps[m], eseqs[m], epoch, nonce, ets[m]
-                        )
-                    )
+                ship(band_entries(fps, n_bands), fps,
+                     np.concatenate(seq_parts), np.concatenate(ts_parts))
                 n += t.num_rows
-            ray.get(refs)
+            call_hosts("submit", parts, epoch, nonce)
             return n
 
         _FP_TASK = fp_fragment

@@ -8,10 +8,12 @@ replacement for the reference's in-memory ``Ref``-map materialized views
 watermarks, and a symmetric-hash stream-stream join of the clip stream
 against the transcript-update stream.
 
-One ``PartitionStateActor`` exists per partition (``hash(clip_id) % P``,
-`hydra_ray.hashing`).  Stateless ``map_batches`` tasks route each batch's
-per-partition slices to the owning actor; the driver advances the
-event-time watermark per epoch and calls ``close_epoch``, which
+One ``PartitionState`` exists per partition (``hash(clip_id) % P``,
+`hydra_ray.hashing`); a small pool of ``StateHost`` actors runs them as
+slots, next to the dedup and near-dup shard slots.  Stateless ingest
+tasks route each batch's per-partition slices to the owning host; the
+driver advances the event-time watermark per epoch and calls
+``close_epoch``, which
 
 - emits **replicated** clips whose join horizon has passed
   (``wm ≥ clip.event_ts + join_window``), enriched with the latest
@@ -39,9 +41,11 @@ checkpoint of the last committed epoch and replays source deltas after it.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from collections import defaultdict
+from concurrent import futures
 
 import numpy as np
 import pandas as pd
@@ -55,7 +59,7 @@ _I64MAX = np.iinfo(np.int64).max  # funnel chain: "step not reached"
 # funnel step name (ReplicateConfig.funnel_steps) → event kind code
 FUNNEL_KINDS = {"clip": 0, "update": 1, "delete": 2}
 
-__all__ = ["PartitionState", "PartitionStateActor", "WATERMARK_MAX"]
+__all__ = ["PartitionState", "StateHost", "StateHostActor", "WATERMARK_MAX"]
 
 
 def _bottomk_union(h1, v1, h2, v2, k: int):
@@ -1498,7 +1502,7 @@ def _classify(kind: str, table: pa.Table, wm: int) -> dict:
     return {"n": n, "late": late, "max_ts": int(ts.max())}
 
 
-# --------------------------------------------------------------------- actor
+# ---------------------------------------------------------------- checkpoints
 def scan_checkpoints(base: str) -> dict[int, bool]:
     """Every complete checkpoint under one actor's checkpoint dir as
     ``{epoch: is_full}`` (empty when the dir is absent).  A dir is a
@@ -1539,7 +1543,7 @@ def find_restore_chain(base: str, epoch: int,
 
 
 class CheckpointDir:
-    """One state actor's checkpoint dir, ``<base>/e{epoch:06d}``.
+    """One state slot's checkpoint dir, ``<base>/e{epoch:06d}``.
 
     It remembers which epochs the dir holds and which of them are full
     snapshots — from the scan at restore and from its own saves — so GC
@@ -1587,156 +1591,270 @@ class CheckpointDir:
             del self.epochs[e]
 
 
-def _make_actor_cls():
+# --------------------------------------------------------------------- hosts
+SHARD_NUM_CPUS = 0.1   # CPU reservation of one dedup / near-dup shard slot
+
+
+def slot_num_cpus(cfg, slot: tuple) -> float:
+    """CPU reservation of one slot (partition or shard)."""
+    return cfg.actor_num_cpus if slot[0] == "p" else SHARD_NUM_CPUS
+
+
+def host_layout(cfg) -> list[list[tuple]]:
+    """The run's slots (``("p"|"d"|"n", i)``: semantic state layout), each
+    put on the least-loaded of min(#slots, max(1, ⌈Σ slot CPUs⌉)) hosts,
+    or on a new host when that one would exceed max(1, largest slot
+    CPUs): a node that could place any one slot can place any host.
+    Hosts reserve the sum of their slots' CPUs, so the cluster-wide
+    reservation is the one a process per slot would make."""
+    slots = [("p", i) for i in range(cfg.num_partitions)]
+    if cfg.dedup:
+        slots += [("d", i) for i in range(cfg.num_dedup_shards)]
+    if cfg.neardup:
+        slots += [("n", i) for i in range(cfg.num_neardup_shards)]
+    cpus = [slot_num_cpus(cfg, s) for s in slots]
+    cap = max([1.0, *cpus]) + 1e-9
+    n = min(len(slots), max(1, math.ceil(round(sum(cpus), 6))))
+    hosts: list = [[] for _ in range(n)]
+    load = [0.0] * n
+    for slot, c in zip(slots, cpus):
+        h = min(range(len(hosts)), key=load.__getitem__)
+        if load[h] + c > cap:
+            h = len(hosts)
+            hosts.append([])
+            load.append(0.0)
+        hosts[h].append(slot)
+        load[h] += c
+    return hosts
+
+
+def call_hosts(method: str, pairs: list, *args, wait: bool = True):
+    """One ``method`` RPC per distinct host over ``[(host, item), …]``
+    (``item`` is a slot or a slot-first tuple) → the per-item results, in
+    ``pairs`` order; ``wait=False`` returns a function that waits."""
     import ray
 
-    @ray.remote
-    class _PartitionStateActor:
-        """Ray actor wrapper: state + sink staging + checkpoint I/O.
+    groups: dict = {}
+    for i, (host, item) in enumerate(pairs):
+        groups.setdefault(host, []).append((i, item))
+    refs = [getattr(h, method).remote([it for _, it in g], *args)
+            for h, g in groups.items()]
 
-        ``num_cpus`` is set at creation; one actor per partition, living
-        for the whole pipeline run (the streaming analogue of the
-        reference's partition-pinned consumers,
-        `StreamsManagerActor.scala:153-213`).
-        """
+    def gather() -> list:
+        out = [None] * len(pairs)
+        for g, res in zip(groups.values(), ray.get(refs)):
+            for (i, _), r in zip(g, res):
+                out[i] = r
+        return out
 
-        def __init__(self, partition: int, cfg, sink_roots: dict, ckpt_root: str):
-            from ..table import Table
+    return gather() if wait else gather
 
-            self.state = PartitionState(partition, cfg)
-            self.partition = partition
-            self.sinks = {name: Table(root) for name, root in sink_roots.items()}
-            self.ckpt = CheckpointDir(
-                os.path.join(ckpt_root, f"p{partition:04d}"),
+
+class StateHost:
+    """One process serving many slots (Ray actor: ``StateHostActor()``),
+    like the reference's consumer JVM serving all its assigned partitions
+    (`StreamsManagerActor.scala:153-213`).  A slot is a partition, dedup
+    shard or near-dup shard with its own ``CheckpointDir`` (``p*``/``d*``/
+    ``n*``).  Every RPC takes a list of slots (or slot-first tuples) and
+    returns one result per entry.  The storage-bound ones (close,
+    checkpoint, restore) run the slots on a thread pool, each slot's state
+    touched only by its own slot's work; the in-memory ones run the slots
+    one after another."""
+
+    def __init__(self, slots: list, cfg, sink_roots: dict, part_root: str,
+                 ckpt_root: str):
+        from ..table import Table
+        from . import neardup_index as nd
+        from .dedup_index import DedupIndexState
+
+        # partition slot → its own sink handles: each Table memoizes its
+        # schema on first stage, and slots close (and stage) concurrently
+        self.sinks: dict = {}
+        self.state: dict = {}
+        self.ckpt: dict = {}
+        # partition slots' epoch-tagged ingest stash, APPLIED at close:
+        # epoch e+1's ingest may overlap e's close/checkpoint/commit
+        # without interleaving state mutations (every state op is
+        # order-independent within an epoch)
+        self.stash: dict = {}
+        for slot in slots:
+            kind, i = slot
+            if kind == "p":
+                st = PartitionState(i, cfg)
+                self.stash[slot] = {}
+                self.sinks[slot] = {name: Table(root)
+                                    for name, root in sink_roots.items()}
+            elif kind == "d":
+                st = DedupIndexState(i, cfg.dedup_retention_ms)
+            else:
+                st = nd.NearDupIndexState(i, nd.neardup_threshold(cfg),
+                                          cfg.neardup_retention_ms,
+                                          nd.neardup_metric(cfg))
+            self.state[slot] = st
+            self.ckpt[slot] = CheckpointDir(
+                os.path.join(part_root if kind == "p" else ckpt_root,
+                             f"{kind}{i:04d}"),
                 cfg.keep_checkpoints)
-            # epoch-tagged stash: ingests are APPLIED at close time, so the
-            # driver may overlap epoch e+1's decode/transfer with epoch e's
-            # close/checkpoint/commit without interleaving state mutations.
-            # Application order within an epoch is irrelevant: every state
-            # op is order-independent (sums, buffer appends, max-by-(ts,rev)).
-            self.pending: dict[int, list] = {}
+        self._pool = futures.ThreadPoolExecutor(len(self.state))
 
-        def ingest(
-            self, kind: str, table: pa.Table, wm: int, epoch: int = 0, nonce: int = 0
-        ) -> dict:
-            self.pending.setdefault(epoch, []).append((nonce, kind, table, wm))
-            return _classify(kind, table, wm)
+    def _each(self, fn, slots: list) -> list:
+        # overlaps the slots' storage round trips (on a 30 ms object
+        # store, serial closes double the epoch time)
+        return list((self._pool.map if len(slots) > 1 else map)(fn, slots))
 
-        def close_epoch(
-            self,
-            epoch: int,
-            wm: int,
-            nonces: dict | None = None,
-            hot_keys: list | None = None,
-        ) -> dict:
-            # ``nonces`` maps epoch → the launch nonce whose ingests are
-            # authoritative; stale stashes (a pre-launched slice the driver
-            # discarded and re-launched after the source grew) are dropped,
-            # never double-applied.
-            for e in sorted(k for k in self.pending if k <= epoch):
-                for nonce, kind, table, wm_i in self.pending.pop(e):
-                    if nonces is not None and nonces.get(e, nonce) != nonce:
-                        continue
-                    if kind == "clips":
-                        self.state.ingest_clips(table, wm_i)
-                    elif kind == "funnel":
-                        self.state.ingest_funnel(table, wm_i)
-                    else:
-                        self.state.ingest_updates(table, wm_i)
-            hot = frozenset(hot_keys) if hot_keys else frozenset()
-            outputs = self.state.close_epoch(epoch, wm, hot)
-            staged = {}
-            hot_out = {}
-            early_touched = outputs.pop("early_touched", None)
-            early_touched_sliding = outputs.pop("early_touched_sliding", None)
-            early_touched_sessions = outputs.pop(
-                "early_touched_sessions", None)
-            for name, tbl in outputs.items():
-                if name.startswith("hot_"):
-                    if tbl is not None:
-                        hot_out[name] = tbl
-                    continue
-                if tbl is not None and name in self.sinks and tbl.num_rows:
-                    frag = self.sinks[name].stage_fragment(tbl, epoch, self.partition)
-                    staged[name] = frag.to_json()
-            # per-epoch heavy-key counts (top few, floor-filtered) feed the
-            # driver's sticky hot-set detection; reset for the next epoch
-            kc = sorted(
-                self.state.key_counts.items(), key=lambda kv: -kv[1]
-            )[:128]
-            self.state.key_counts = {}
-            return {
-                "staged": staged,
-                "hot": hot_out,
-                "key_counts": kc,
-                "metrics": dict(self.state.metrics),
-                "max_ts": self.state.max_ts,
-                "early_touched": early_touched,
-                "early_touched_sliding": early_touched_sliding,
-                "early_touched_sessions": early_touched_sessions,
-            }
+    # ------------------------------------------------------- partitions
+    def ingest(self, parts: list, wm: int, epoch: int = 0,
+               nonce: int = 0) -> list[dict]:
+        """Stash ``(slot, kind, table)`` slices for ``close(epoch)``;
+        ``nonce`` names the driver launch that sent them."""
+        for slot, kind, table in parts:
+            self.stash[slot].setdefault(epoch, []).append(
+                (nonce, kind, table, wm))
+        return [_classify(kind, table, wm) for _, kind, table in parts]
 
-        def render_window_cells(self, cells, sliding_cells=None,
-                                session_keys=None):
-            """Single RPC for all live kinds → (windows, sliding,
-            sessions)."""
-            w = (self.state.render_window_cells(cells, "windows")
-                 if cells is not None else None)
-            sl = (self.state.render_window_cells(sliding_cells, "sliding")
-                  if sliding_cells is not None else None)
-            se = (self.state.render_session_cells(session_keys)
-                  if session_keys else None)
-            return w, sl, se
+    def close(self, slots: list, epoch: int, wm: int,
+              nonces: dict | None = None,
+              hot_keys: list | None = None) -> list[dict]:
+        hot = frozenset(hot_keys) if hot_keys else frozenset()
+        return self._each(
+            lambda s: self._close(s, epoch, wm, nonces, hot), slots)
 
-        def adopt_sessions(self, merged: dict) -> bool:
-            self.state.adopt_sessions(merged)
-            return True
+    def _close(self, slot, epoch: int, wm: int, nonces: dict | None,
+               hot: frozenset) -> dict:
+        state, stash = self.state[slot], self.stash[slot]
+        apply = {"clips": state.ingest_clips, "funnel": state.ingest_funnel,
+                 "updates": state.ingest_updates}
+        # ``nonces`` maps epoch → the launch nonce whose ingests are
+        # authoritative; stale stashes (a pre-launched slice the driver
+        # discarded and re-launched after the source grew) are dropped,
+        # never double-applied.
+        for e in sorted(k for k in stash if k <= epoch):
+            for nonce, kind, table, wm_i in stash.pop(e):
+                if nonces is None or nonces.get(e, nonce) == nonce:
+                    apply[kind](table, wm_i)
+        outputs = state.close_epoch(epoch, wm, hot)
+        early = {k: outputs.pop(k, None) for k in (
+            "early_touched", "early_touched_sliding",
+            "early_touched_sessions")}
+        staged, hot_out = {}, {}
+        for name, tbl in outputs.items():
+            if name.startswith("hot_"):
+                if tbl is not None:
+                    hot_out[name] = tbl
+                continue
+            if tbl is not None and name in self.sinks[slot] and tbl.num_rows:
+                frag = self.sinks[slot][name].stage_fragment(
+                    tbl, epoch, state.partition)
+                staged[name] = frag.to_json()
+        # per-epoch heavy-key counts (top few, floor-filtered) feed the
+        # driver's sticky hot-set detection; reset for the next epoch
+        kc = sorted(state.key_counts.items(), key=lambda kv: -kv[1])[:128]
+        state.key_counts = {}
+        return {
+            "staged": staged,
+            "hot": hot_out,
+            "key_counts": kc,
+            "metrics": dict(state.metrics),
+            "max_ts": state.max_ts,
+            **early,
+        }
 
-        def buffered_updates_for(self, keys: list):
-            return self.state.buffered_updates_for(frozenset(keys))
+    def render(self, slots: list, cells, sliding_cells=None,
+               session_keys=None) -> list[tuple]:
+        """Early-fire live partials of each partition → (windows,
+        sliding, sessions)."""
+        def one(slot):
+            st = self.state[slot]
+            return (
+                st.render_window_cells(cells, "windows")
+                if cells is not None else None,
+                st.render_window_cells(sliding_cells, "sliding")
+                if sliding_cells is not None else None,
+                st.render_session_cells(session_keys)
+                if session_keys else None,
+            )
 
-        def checkpoint(self, epoch: int, wm: int | None = None, full: bool = True) -> str:
-            """Save, then GC this partition's own expired epochs."""
-            d = self.ckpt.path(epoch)
-            self.state.save(d, wm=wm, full=full)
-            self.ckpt.saved(epoch, full)
+        return [one(slot) for slot in slots]
+
+    def adopt_sessions(self, parts: list) -> list[bool]:
+        for slot, merged in parts:
+            self.state[slot].adopt_sessions(merged)
+        return [True] * len(parts)
+
+    def buffered_updates_for(self, parts: list) -> list:
+        return [self.state[slot].buffered_updates_for(frozenset(keys))
+                for slot, keys in parts]
+
+    # ----------------------------------------------------------- shards
+    def submit(self, parts: list, epoch: int, nonce: int) -> list[int]:
+        """Stash ``(slot, arrays, ts)`` index entries of a hash or
+        fingerprint pass for ``resolve(epoch)``."""
+        for slot, arrays, ts in parts:
+            self.state[slot].submit(*arrays, epoch, nonce, ts)
+        return [len(arrays[0]) for _, arrays, _ in parts]
+
+    def resolve(self, slots: list, epoch: int, nonces: dict | None,
+                wm=None) -> list:
+        return [self.state[s].resolve(epoch, nonces, wm) for s in slots]
+
+    def commit(self, slots: list, epoch: int, kept_seqs,
+               nonces: dict | None) -> list[int]:
+        """Near-dup shards: fold the kept rows' entries into the index."""
+        return [self.state[s].commit(epoch, kept_seqs, nonces)
+                for s in slots]
+
+    # -------------------------------------------------------- all slots
+    def checkpoint(self, slots: list, epoch: int, wm: int | None = None,
+                   full: bool = True) -> list[str]:
+        """Save each slot, then GC that slot's own expired epochs."""
+        def one(slot):
+            d = self.ckpt[slot].path(epoch)
+            kw = {"wm": wm} if slot[0] == "p" else {}
+            self.state[slot].save(d, full=full, **kw)
+            self.ckpt[slot].saved(epoch, full)
             return d
 
-        def restore(self, epoch: int) -> bool:
-            """Restore epoch ``epoch``: the newest full snapshot ≤ epoch
-            plus every delta after it up to epoch (incremental chain).
-            Raises when there is none: a committed epoch always has one."""
-            self.pending.clear()  # un-closed stashed ingests replay from source
-            chain = self.ckpt.restore_chain(epoch)
+        return self._each(one, slots)
+
+    def restore(self, slots: list, epoch: int) -> list[bool]:
+        """Restore each slot to ``epoch``: the newest full snapshot ≤ epoch
+        plus every delta after it.  Un-closed stashes are dropped (they
+        replay from source).  A partition without a chain raises, since a
+        committed epoch always has one; a shard whose dir holds nothing at
+        or below ``epoch`` (the tier was just enabled) starts empty and
+        returns False."""
+        def one(slot):
+            st = self.state[slot]
+            (self.stash[slot] if slot[0] == "p" else st.pending).clear()
+            chain = self.ckpt[slot].restore_chain(epoch)
             if chain is None:
-                raise RuntimeError(
-                    f"partition {self.partition}: no checkpoint chain for "
-                    f"epoch {epoch} under {self.ckpt.base}")
-            self.state.restore_chain(*chain)
+                if slot[0] == "p":
+                    raise RuntimeError(
+                        f"partition {slot[1]}: no checkpoint chain for "
+                        f"epoch {epoch} under {self.ckpt[slot].base}")
+                return False
+            st.restore_chain(*chain)
             return True
 
-        def view_snapshot(self) -> pa.Table:
-            return self.state.view_snapshot()
+        return self._each(one, slots)
 
-        def ping(self) -> int:
-            return self.partition
+    def node_id(self) -> str:
+        """Which cluster node this host landed on (multi-node placement
+        introspection for the dress-rehearsal test)."""
+        import ray
 
-        def node_id(self) -> str:
-            """Which cluster node this actor landed on (multi-node
-            placement introspection for the dress-rehearsal test)."""
-            import ray
-
-            return ray.get_runtime_context().get_node_id()
-
-    return _PartitionStateActor
+        return ray.get_runtime_context().get_node_id()
 
 
-_ACTOR_CLS = None
+_HOST_CLS = None
 
 
-def PartitionStateActor():
-    """Lazy accessor for the Ray actor class (keeps module import Ray-free)."""
-    global _ACTOR_CLS
-    if _ACTOR_CLS is None:
-        _ACTOR_CLS = _make_actor_cls()
-    return _ACTOR_CLS
+def StateHostActor():
+    """Lazy Ray actor class of ``StateHost`` (keeps module import
+    Ray-free)."""
+    global _HOST_CLS
+    if _HOST_CLS is None:
+        import ray
+
+        _HOST_CLS = ray.remote(StateHost)
+    return _HOST_CLS

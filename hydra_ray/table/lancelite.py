@@ -753,15 +753,15 @@ class Table:
     def version_at(self, ts_ms: int) -> int | None:
         """Newest version committed at or before wall-clock ``ts_ms``
         (time travel: ``to_dataset(version=version_at(t))`` is the
-        AS-OF read).  Versions written before the stamp existed count as
-        t=0 (always eligible).  None when nothing that old exists."""
+        AS-OF read; every manifest carries its commit stamp,
+        ``_write_manifest``).  None when nothing that old exists."""
         best = None
         for name in self.fs.list_dir(os.path.join(self.root, _MANIFEST_DIR)):
             if not name.endswith(".json") or name.startswith("."):
                 continue
             v = int(name.split(".")[0])
             m = self._manifest(v)
-            if (m.ts_ms or 0) <= ts_ms and (best is None or v > best):
+            if m.ts_ms <= ts_ms and (best is None or v > best):
                 best = v
         return best
 

@@ -116,11 +116,9 @@ def test_resolve_near_epoch_shard_count_independence(ray_session, tmp_path):
     independence) and match a single-threaded greedy over the corpus."""
     import ray
 
-    from hydra_ray.state.neardup_index import (
-        NearDupShardActor,
-        resolve_near_epoch,
-        shard_of,
-    )
+    from hydra_ray.pipelines.replicate import ReplicateConfig
+    from hydra_ray.state.neardup_index import resolve_near_epoch, shard_of
+    from hydra_ray.state.store import StateHostActor
 
     rng = np.random.default_rng(7)
     base = rng.integers(0, 1 << 63, size=40, dtype=np.uint64)
@@ -134,9 +132,13 @@ def test_resolve_near_epoch_shard_count_independence(ray_session, tmp_path):
     e1_seqs = np.arange(100, 121, dtype=np.int64)
 
     def run(num_shards: int, root: str):
-        cls = NearDupShardActor()
-        shards = [cls.remote(d, root) for d in range(num_shards)]
-        ray.get([s.ping.remote() for s in shards])
+        # shards dealt over up to two hosts: how shards are hosted must not
+        # change the decision either
+        cfg = ReplicateConfig(neardup=True, num_neardup_shards=num_shards)
+        slots = [("n", d) for d in range(num_shards)]
+        hosts = [StateHostActor().remote(slots[h::2], cfg, {}, root, root)
+                 for h in range(min(2, num_shards))]
+        shards = [(hosts[d % len(hosts)], ("n", d)) for d in range(num_shards)]
         out = []
         for ep, (fps, seqs) in enumerate([(e0_fps, e0_seqs), (e1_fps, e1_seqs)]):
             keys = band_entries(fps, 4)
@@ -144,11 +146,13 @@ def test_resolve_near_epoch_shard_count_independence(ray_session, tmp_path):
             sh = shard_of(keys, num_shards)
             for d in np.unique(sh):
                 m = sh == d
-                ray.get(shards[d].submit.remote(keys[m], ef[m], es[m], ep, 1))
+                host, slot = shards[d]
+                ray.get(host.submit.remote(
+                    [(slot, (keys[m], ef[m], es[m]), None)], ep, 1))
             kept, drop = resolve_near_epoch(shards, ep, {0: 1, 1: 1}, 4, 3)
             out.append((kept.tolist(), drop.tolist()))
-        for s in shards:
-            ray.kill(s)
+        for h in hosts:
+            ray.kill(h)
         return out
 
     r1 = run(1, str(tmp_path / "s1"))

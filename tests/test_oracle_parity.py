@@ -102,6 +102,27 @@ def test_audio_features_sane(ray_session):
     assert (np.abs(f["dom_freq_hz"] - expect) / expect < 0.25).mean() > 0.9
 
 
+def test_string_pack_lpad_truncates_like_oracle(tmp_path, ray_session):
+    """DuckDB's lpad(s, 8, '0') keeps only the first 8 characters of a
+    longer s; a 9-digit custkey must pad the same in the pipeline."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    keys = [7, 12345678, 123456789]
+    path = tmp_path / "customer.parquet"
+    pq.write_table(pa.table({
+        "c_custkey": pa.array(keys, pa.int64()),
+        "c_name": [f"Customer#{k:09d}" for k in keys],
+        "c_mktsegment": ["BUILDING", "AUTOMOBILE", "HOUSEHOLD"],
+    }), path)
+    got = _canon(_to_pandas(entrymod.queries()["string_pack"](str(tmp_path))))
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW customer AS SELECT * FROM read_parquet('{path}')")
+    want = _canon(c.execute(entrymod.oracle_sql()["string_pack"]).df())
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got.loc[got["c_custkey"] == 123456789, "pad"].item() == "12345678"
+
+
 @pytest.mark.parametrize("name", NO_ORACLE)
 def test_rows_only_queries_run(name, ray_session):
     res = _to_pandas(entrymod.queries()[name](SF_DIR))

@@ -144,10 +144,12 @@ def test_audio_fingerprint_scale_and_batch_invariant(pcms, scale_exp):
 
     scale = 2.0**scale_exp
     fp = audio_fingerprint(tbl(pcms))["afp"].to_pylist()
-    scaled = audio_fingerprint(
-        tbl([[x * scale for x in p] for p in pcms])
-    )["afp"].to_pylist()
-    assert fp == scaled
+    scaled_pcms = [[x * scale for x in p] for p in pcms]
+    # a subnormal sample scaled down loses bits (1.4e-45 x 0.5 rounds to
+    # 0): the scaled clip is then a different signal, not a scaled one
+    if all(float(np.float32(y)) == y for p in scaled_pcms for y in p):
+        scaled = audio_fingerprint(tbl(scaled_pcms))["afp"].to_pylist()
+        assert fp == scaled
     singles = [audio_fingerprint(tbl([p]))["afp"].to_pylist()[0] for p in pcms]
     assert fp == singles
 

@@ -5,6 +5,9 @@ from the committed per-epoch lineage (wm_prev / wm_close per epoch), and
 the exactly-once oracle compares a clean run against crash+resume runs.
 """
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -304,32 +307,38 @@ def _content_signature(out_root):
     )
 
 
+def _one_partition_host(tmp_path):
+    """A state host running partition slot 0 alone → (handle, slot)."""
+    from hydra_ray.state.store import StateHostActor
+
+    sinks = {}
+    for s in ("replicated", "windows", "sliding", "sessions", "dlq", "views"):
+        sinks[s] = Table.create(str(tmp_path / s)).root
+    ck = str(tmp_path / "ck")
+    host = StateHostActor().options(num_cpus=0).remote(
+        [("p", 0)], cfg(), sinks, ck, ck)
+    return host, ("p", 0)
+
+
 def test_epoch_stash_isolation(tmp_path, ray_session):
     """Pipelined ingests for epoch e+1 must NOT enter close(e) state or
     its checkpoint (they replay from source after a crash)."""
     import ray
 
-    from hydra_ray.state.store import PartitionStateActor
-
-    sinks = {}
-    for s in ("replicated", "windows", "sliding", "sessions", "dlq", "views"):
-        sinks[s] = Table.create(str(tmp_path / s)).root
-    actor = PartitionStateActor().options(num_cpus=0).remote(
-        0, cfg(), sinks, str(tmp_path / "ck")
-    )
+    host, p0 = _one_partition_host(tmp_path)
     light = synth_clips_table(6, hot_fraction=0.0).drop_columns(["bytes"])
     wm = -(1 << 62)
-    ray.get(actor.ingest.remote("clips", light.slice(0, 3), wm, 1))
-    ray.get(actor.ingest.remote("clips", light.slice(3, 3), wm, 2))  # pipelined
-    r1 = ray.get(actor.close_epoch.remote(1, wm))
+    ray.get(host.ingest.remote([(p0, "clips", light.slice(0, 3))], wm, 1))
+    ray.get(host.ingest.remote([(p0, "clips", light.slice(3, 3))], wm, 2))  # pipelined
+    [r1] = ray.get(host.close.remote([p0], 1, wm))
     assert r1["metrics"]["clips_in"] == 3  # epoch-2 stash untouched
-    ray.get(actor.checkpoint.remote(1))
+    ray.get(host.checkpoint.remote([p0], 1))
     # crash: restore drops the stash; replayed ingest must not double-count
-    ray.get(actor.restore.remote(1))
-    ray.get(actor.ingest.remote("clips", light.slice(3, 3), wm, 2))
-    r2 = ray.get(actor.close_epoch.remote(2, wm))
+    ray.get(host.restore.remote([p0], 1))
+    ray.get(host.ingest.remote([(p0, "clips", light.slice(3, 3))], wm, 2))
+    [r2] = ray.get(host.close.remote([p0], 2, wm))
     assert r2["metrics"]["clips_in"] == 6
-    ray.kill(actor)
+    ray.kill(host)
 
 
 def test_stale_prelaunch_nonce_dropped(tmp_path, ray_session):
@@ -338,23 +347,121 @@ def test_stale_prelaunch_nonce_dropped(tmp_path, ray_session):
     nonce the driver recorded as authoritative."""
     import ray
 
-    from hydra_ray.state.store import PartitionStateActor
-
-    sinks = {}
-    for s in ("replicated", "windows", "sliding", "sessions", "dlq", "views"):
-        sinks[s] = Table.create(str(tmp_path / s)).root
-    actor = PartitionStateActor().options(num_cpus=0).remote(
-        0, cfg(), sinks, str(tmp_path / "ck")
-    )
+    host, p0 = _one_partition_host(tmp_path)
     light = synth_clips_table(6, hot_fraction=0.0).drop_columns(["bytes"])
     wm = -(1 << 62)
     # stale pre-launch stashed rows 0-2 under nonce 1, then the driver
     # re-launched the same epoch (wider slice: rows 0-5) under nonce 2
-    ray.get(actor.ingest.remote("clips", light.slice(0, 3), wm, 1, 1))
-    ray.get(actor.ingest.remote("clips", light.slice(0, 6), wm, 1, 2))
-    r = ray.get(actor.close_epoch.remote(1, wm, {1: 2}))
+    ray.get(host.ingest.remote([(p0, "clips", light.slice(0, 3))], wm, 1, 1))
+    ray.get(host.ingest.remote([(p0, "clips", light.slice(0, 6))], wm, 1, 2))
+    [r] = ray.get(host.close.remote([p0], 1, wm, {1: 2}))
     assert r["metrics"]["clips_in"] == 6  # not 9
-    ray.kill(actor)
+    ray.kill(host)
+
+
+@pytest.mark.parametrize("num_partitions,hosts", [(4, 2), (8, 3)])
+def test_run_starts_one_process_per_host(tmp_path, ray_session,
+                                         num_partitions, hosts):
+    """Partitions and dedup/near-dup shards are slots of a CPU-sized host
+    pool: 0.25 CPU per partition + 0.1 per shard (4 + 4 shards) gives
+    ⌈1.8⌉ = 2 and ⌈2.8⌉ = 3 state processes, not one per slot."""
+    import ray
+
+    c = replace(cfg(dedup=True, neardup=True), num_partitions=num_partitions)
+    root = str(tmp_path)
+    clips = synth_clips_table(240)
+    ct = Table.create(f"{root}/clips", schema=clips.schema)
+    for v in range(2):
+        ct.append(clips.slice(v * 120, 120))
+    pipe = ReplicatePipeline(f"{root}/clips", f"{root}/out", c)
+    pids = set()
+    orig = ReplicatePipeline._shutdown_actors
+
+    def shutdown(self):
+        handles = self.actors + self.dedup_shards + self.neardup_shards
+        pids.update(ray.get([h.__ray_call__.remote(lambda _self: os.getpid())
+                             for h in handles]))
+        orig(self)
+
+    ReplicatePipeline._shutdown_actors = shutdown
+    try:
+        pipe.run()
+    finally:
+        ReplicatePipeline._shutdown_actors = orig
+    assert len(pids) == hosts
+    assert Table(f"{root}/out/replicated").count_rows() > 0
+    from hydra_ray.state.store import host_layout
+
+    assert len(host_layout(c)) == hosts
+
+
+@pytest.mark.parametrize("num_partitions,actor_cpus,hosts",
+                         [(8, 0.25, 3), (8, 1.0, 9), (8, 0.375, 4)])
+def test_host_layout_caps_host_reservation(num_partitions, actor_cpus,
+                                           hosts):
+    """No host reserves more than max(1, largest slot CPUs), so a cluster
+    of 1-CPU nodes that could place one process per slot can place every
+    host; the slots' total reservation is unchanged and each slot is on
+    exactly one host."""
+    from hydra_ray.state.store import host_layout, slot_num_cpus
+
+    c = replace(cfg(dedup=True, neardup=True), num_partitions=num_partitions,
+                actor_num_cpus=actor_cpus)
+    layout = host_layout(c)
+    assert len(layout) == hosts
+    loads = [sum(slot_num_cpus(c, s) for s in h) for h in layout]
+    assert max(loads) <= max(1.0, actor_cpus) + 1e-9
+    slots = [s for h in layout for s in h]
+    assert len(slots) == len(set(slots)) == (
+        num_partitions + c.num_dedup_shards + c.num_neardup_shards)
+    assert sum(loads) == pytest.approx(
+        sum(slot_num_cpus(c, s) for s in slots))
+
+
+def _sink_digest(out_root):
+    """(rows, content hash) of the replicated, windows and sessions
+    sinks, independent of fragment order."""
+    keys = {"replicated": ["seq"], "windows": ["clip_id", "window_start"],
+            "sessions": ["clip_id", "session_start"]}
+    out = {}
+    for sink, by in keys.items():
+        df = Table(f"{out_root}/{sink}").to_arrow().to_pandas()
+        df = df.sort_values(by, kind="mergesort").reset_index(drop=True)
+        out[sink] = (len(df), int(pd.util.hash_pandas_object(df).sum()))
+    return out
+
+
+def test_host_count_does_not_change_output(tmp_path, ray_session):
+    """actor_num_cpus only changes how many hosts run the 8 partitions
+    (0.125 → 1 host, 0.375 → 4 of 0.75 CPU): the outputs are identical,
+    and a crash under one layout resumes under the other to the clean
+    signature."""
+    from hydra_ray.state.store import host_layout
+
+    digests, sigs = [], []
+    for cpus, hosts in ((0.125, 1), (0.375, 4)):
+        c = replace(cfg(), num_partitions=8, actor_num_cpus=cpus)
+        assert len(host_layout(c)) == hosts
+        root = str(tmp_path / f"h{hosts}")
+        build_sources(root)
+        ReplicatePipeline(f"{root}/clips", f"{root}/out", c,
+                          f"{root}/updates").run()
+        digests.append(_sink_digest(f"{root}/out"))
+        sigs.append(_content_signature(f"{root}/out"))
+    assert digests[0] == digests[1]
+    assert sigs[0] == sigs[1]
+    root = str(tmp_path / "crash")
+    build_sources(root)
+    with pytest.raises(CrashPoint):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                          replace(cfg(crash_at=(2, "before_main_commit")),
+                                  num_partitions=8, actor_num_cpus=0.125),
+                          f"{root}/updates").run()
+    ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                      replace(cfg(), num_partitions=8, actor_num_cpus=0.375),
+                      f"{root}/updates").run()
+    assert _content_signature(f"{root}/out") == sigs[0]
+    assert _sink_digest(f"{root}/out") == digests[0]
 
 
 def test_read_replicated_inflight(tmp_path, ray_session):
