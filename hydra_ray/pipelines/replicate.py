@@ -47,8 +47,10 @@ from ..stages.decode import AudioDecoder
 from ..stages.skew import salted_partition_for
 from ..state.store import (
     WATERMARK_MAX,
+    PartitionState,
     StateHostActor,
     call_hosts,
+    close_hot_partials,
     host_layout,
     slot_num_cpus,
 )
@@ -934,9 +936,12 @@ def read_windows_live(out_root: str, kind: str = "windows"):
 
 def read_sessions_live(out_root: str):
     """Coherent session view for ``early_fire`` runs: the sessions
-    sink's exact closed rows, plus the LATEST epoch's provisional open
-    sessions (older provisional rows are superseded snapshots; a drained
-    stream has closed everything, so only finals remain)."""
+    sink's exact closed rows, plus the provisional open sessions
+    stamped with the main sink's committed epoch.  Every epoch renders
+    every open session, so that epoch's rows are the whole open set and
+    older rows are superseded snapshots.  The flush epoch renders
+    nothing (a drained stream has closed everything, so only finals
+    remain), and an epoch whose main commit never landed is not shown."""
     import pandas as pd
 
     cols = ["clip_id", "session_start", "session_end", "n_clips",
@@ -945,13 +950,12 @@ def read_sessions_live(out_root: str):
     final = (final[[c for c in cols if c in final.columns]]
              if len(final) else pd.DataFrame(columns=cols))
     out = final.assign(provisional=False)
-    state = Table(os.path.join(out_root, "replicated")).pipeline_state(
+    last = Table(os.path.join(out_root, "replicated")).committed_epoch(
         "replicate")
-    if not bool(state.get("flushed", False)):
-        live = Table(os.path.join(out_root, "sessions_live")) \
-            .to_arrow().to_pandas()
+    live = Table(os.path.join(out_root, "sessions_live")).to_arrow()
+    if live.num_rows:
+        live = live.filter(pc.equal(live["epoch"], last)).to_pandas()
         if len(live):
-            live = live[live["epoch"] == live["epoch"].max()]
             out = pd.concat(
                 [out, live[cols].assign(provisional=True)],
                 ignore_index=True)
@@ -1713,71 +1717,53 @@ class ReplicatePipeline:
     def _stage_early_windows(self, results: list, epoch: int):
         """Early-fire driver half: union the per-partition touched-cell
         sets from this close (tumbling AND sliding), fetch every
-        partition's CURRENT partial totals for them in ONE RPC round
-        (a salted cell's rows span partitions, and an untouched
-        partition may hold a touched cell's older rows), merge
-        additively, and stage one provisional fragment per live sink.
-        Deterministic under replay (state is epoch-atomic) and
-        routing-independent (pure addition over partition partials).
+        partition's CURRENT partial totals for them and its open
+        sessions in ONE RPC round (a salted cell's rows span partitions,
+        and an untouched partition may hold a touched cell's older
+        rows), fold the cells with the partitions' own rule, and stage
+        one provisional fragment per live sink.  Every epoch renders
+        every open session, so the latest epoch's ``sessions_live`` rows
+        are the whole open set.  Deterministic under replay (state is
+        epoch-atomic) and routing-independent (the fold is a monoid).
         Returns [(sink_name, FragmentMeta), ...]."""
-        import pandas as pd
+        cfg = self.cfg
 
         def union(key):
-            tabs = [r.get(key) for r in results]
-            tabs = [t for t in tabs if t is not None and t.num_rows]
+            tabs = [r[key] for r in results if r.get(key) is not None]
             if not tabs:
                 return None
-            df = pa.concat_tables(tabs).to_pandas().drop_duplicates(
-                ["clip_id", "window_start"])
-            return pa.Table.from_pandas(df, preserve_index=False)
+            return pa.concat_tables(tabs).group_by(
+                ["clip_id", "window_start"], use_threads=False).aggregate([])
 
         w_cells = union("early_touched")
         s_cells = union("early_touched_sliding")
-        skeys: set = set()
-        for r in results:
-            ks = r.get("early_touched_sessions")
-            if ks:
-                skeys.update(ks)
-        # hot-key sessions were just extracted/adopted by _process_hot;
-        # their open remainders live on home partitions — include the
-        # whole (bounded) hot set so adoption counts as a touch
-        skeys.update(self._hot)
-        skeys_l = sorted(skeys) if (skeys and self.cfg.session_gap_ms) \
-            else None
-        if w_cells is None and s_cells is None and not skeys_l:
+        sessions = bool(cfg.session_gap_ms)
+        if w_cells is None and s_cells is None and not sessions:
             return []
         parts = call_hosts("render", self._slots("p"), w_cells, s_cells,
-                           skeys_l)
-        staged = []
-        for idx, sink_name in ((0, "windows_live"), (1, "sliding_live")):
-            frames = [p[idx].to_pandas() for p in parts
-                      if p[idx] is not None]
-            if not frames:
-                continue
-            allp = pd.concat(frames, ignore_index=True)
-            agg = allp.groupby(
-                ["clip_id", "window_start", "window_end"], as_index=False,
-            )[["n_clips", "sum_dur_ms"]].sum()
-            agg["epoch"] = np.int64(epoch)
-            tbl = pa.Table.from_pandas(
-                agg.sort_values(["clip_id", "window_start"]),
-                preserve_index=False)
-            staged.append(
-                (sink_name,
-                 self.sink[sink_name].stage_fragment(tbl, epoch, 0)))
-        sess_frames = [p[2].to_pandas() for p in parts
-                       if p[2] is not None]
-        if sess_frames:
-            # post-adoption each key's opens sit on ONE partition: concat
-            allp = pd.concat(sess_frames, ignore_index=True)
-            allp["epoch"] = np.int64(epoch)
-            tbl = pa.Table.from_pandas(
-                allp.sort_values(["clip_id", "session_start"]),
-                preserve_index=False)
-            staged.append(
-                ("sessions_live",
-                 self.sink["sessions_live"].stage_fragment(tbl, epoch, 0)))
-        return staged
+                           sessions)
+        scratch = PartitionState(-1, cfg)
+        scratch.absorb(win=[r for p in parts for r in p[0]],
+                       swin=[r for p in parts for r in p[1]])
+        tables = {
+            name: scratch._window_rows_table(
+                [(*kw, *cells[kw]) for kw in sorted(cells)], size)
+            for name, cells, size in (
+                ("windows_live", scratch.win, cfg.window_size_ms),
+                ("sliding_live", scratch.swin, cfg.sliding_size_ms))
+            if cells
+        }
+        sess = [p[2] for p in parts if p[2] is not None]
+        if sess:
+            tables["sessions_live"] = pa.concat_tables(sess).sort_by(
+                [("clip_id", "ascending"), ("session_start", "ascending")])
+        return [
+            (name, self.sink[name].stage_fragment(
+                tbl.append_column(
+                    "epoch", pa.array([epoch] * tbl.num_rows, pa.int64())),
+                epoch, 0))
+            for name, tbl in tables.items()
+        ]
 
     def _append_lineage(self, entry: dict):
         """One immutable object per epoch (no file append — object-store
@@ -1794,200 +1780,30 @@ class ReplicatePipeline:
                  durable=True)
 
     def _process_hot(self, results: list, epoch: int, wm: int) -> list:
-        """Merge hot-key close partials across salt partitions.
-
-        - tumbling/sliding window partials: group-sum → one merged
-          fragment per sink, stamped partition=-1;
-        - sessions: gap-merge every extracted interval per key, stage the
-          merged-closed ones, and ADOPT the still-open remainder into the
-          key's home partition (must precede the epoch checkpoint).
-        Returns [(sink_name, FragmentMeta)] to include in the commit.
-        """
-        from ..state.store import _stamp
-
-        cfg = self.cfg
-        staged: list = []
-        for name, sink_key in (("hot_windows", "windows"), ("hot_sliding", "sliding")):
-            tbls = [r["hot"][name] for r in results if name in r.get("hot", {})]
-            if not tbls:
-                continue
-            cat = pa.concat_tables(tbls, promote_options="default")
-            has_sample = "sample_h" in cat.column_names
-            has_distinct = "distinct_h" in cat.column_names
-            has_mode = "mode_hs" in cat.column_names
-            has_top = "top_vs" in cat.column_names
-            if has_sample or has_distinct or has_mode or has_top:
-                # window_sample_k / window_distinct_k / window_mode_k
-                # partials: re-union each key's sketch(es) across salt
-                # partitions, then emit the same final columns (in the
-                # same order) as the cold path — every union is the ONE
-                # monoid rule the actors use, so the result is
-                # byte-identical to an unsalted run
-                from ..state.store import (
-                    _bottomk_union,
-                    _kmv_estimate,
-                    _kmv_union,
-                    _mode_of,
-                    _modek_union,
-                    _sample_quantiles,
-                    _topk_union,
-                )
-
-                k = cfg.window_sample_k
-                dk = cfg.window_distinct_k
-                mk = cfg.window_mode_k
-                tk = cfg.window_top_k
-                df = cat.to_pandas()
-                cells: dict = {}
-                for r in df.itertuples(index=False):
-                    kw = (r.clip_id, int(r.window_start))
-                    cur = cells.get(kw)
-                    if cur is None:
-                        cur = cells[kw] = {
-                            "we": int(r.window_end), "n": 0, "s": 0,
-                            "hs": np.array([], np.uint64),
-                            "vs": np.array([], np.int64),
-                            "ch": np.array([], np.uint64),
-                            "mh": np.array([], np.uint64),
-                            "mc": np.array([], np.int64),
-                            "tv": np.array([], np.int64),
-                            "th": np.array([], np.uint64),
-                        }
-                    cur["we"] = max(cur["we"], int(r.window_end))
-                    cur["n"] += int(r.n_clips)
-                    cur["s"] += int(r.sum_dur_ms)
-                    if has_sample:
-                        cur["hs"], cur["vs"] = _bottomk_union(
-                            cur["hs"], cur["vs"],
-                            np.asarray(r.sample_h, dtype=np.uint64),
-                            np.asarray(r.sample_v, dtype=np.int64), k)
-                    if has_distinct:
-                        cur["ch"] = _kmv_union(
-                            cur["ch"],
-                            np.asarray(r.distinct_h, dtype=np.uint64), dk)
-                    if has_mode:
-                        cur["mh"], cur["mc"] = _modek_union(
-                            cur["mh"], cur["mc"],
-                            np.asarray(r.mode_hs, dtype=np.uint64),
-                            np.asarray(r.mode_ns, dtype=np.int64), mk)
-                    if has_top:
-                        cur["tv"], cur["th"] = _topk_union(
-                            cur["tv"], cur["th"],
-                            np.asarray(r.top_vs, dtype=np.int64),
-                            np.asarray(r.top_hs, dtype=np.uint64), tk)
-                kws = sorted(cells)
-                cols = {
-                    "clip_id": pa.array([kw[0] for kw in kws], pa.string()),
-                    "window_start": pa.array([kw[1] for kw in kws], pa.int64()),
-                    "window_end": pa.array(
-                        [cells[kw]["we"] for kw in kws], pa.int64()),
-                    "n_clips": pa.array(
-                        [cells[kw]["n"] for kw in kws], pa.int64()),
-                    "sum_dur_ms": pa.array(
-                        [cells[kw]["s"] for kw in kws], pa.int64()),
-                }
-                if has_sample:
-                    qs = [_sample_quantiles(cells[kw]["vs"]) for kw in kws]
-                    cols["p50_dur_ms"] = pa.array([q[0] for q in qs], pa.int64())
-                    cols["p90_dur_ms"] = pa.array([q[1] for q in qs], pa.int64())
-                    cols["sample_n"] = pa.array(
-                        [len(cells[kw]["vs"]) for kw in kws], pa.int64())
-                if has_distinct:
-                    cols["distinct_content"] = pa.array(
-                        [_kmv_estimate(cells[kw]["ch"], dk,
-                                       n_cap=cells[kw]["n"]) for kw in kws],
-                        pa.int64())
-                if has_mode:
-                    modes = [_mode_of(cells[kw]["mh"], cells[kw]["mc"])
-                             for kw in kws]
-                    cols["mode_h"] = pa.array(
-                        [m[0] for m in modes], pa.uint64())
-                    cols["mode_n"] = pa.array(
-                        [m[1] for m in modes], pa.int64())
-                if has_top:
-                    cols["top_durs"] = pa.array(
-                        [cells[kw]["tv"].tolist() for kw in kws],
-                        pa.list_(pa.int64()))
-                    cols["top1_dur_ms"] = pa.array(
-                        [int(cells[kw]["tv"][0]) if len(cells[kw]["tv"])
-                         else 0 for kw in kws], pa.int64())
-                merged = pa.table(cols)
-                merged = _stamp(merged, -1, epoch)
-                frag = self.sink[sink_key].stage_fragment(merged, epoch, -1)
-                staged.append((sink_key, frag))
-                m = "windows_closed" if sink_key == "windows" else "sliding_closed"
-                self._hot_metrics[m] = self._hot_metrics.get(m, 0) + merged.num_rows
-                continue
-            gb = cat.group_by(["clip_id", "window_start"], use_threads=False).aggregate(
-                [("window_end", "max"), ("n_clips", "sum"), ("sum_dur_ms", "sum")]
-            )
-            merged = pa.table(
-                {
-                    "clip_id": gb["clip_id"],
-                    "window_start": gb["window_start"],
-                    "window_end": gb["window_end_max"],
-                    "n_clips": gb["n_clips_sum"],
-                    "sum_dur_ms": gb["sum_dur_ms_sum"],
-                }
-            )
-            merged = _stamp(merged, -1, epoch)
-            frag = self.sink[sink_key].stage_fragment(merged, epoch, -1)
-            staged.append((sink_key, frag))
-            m = "windows_closed" if sink_key == "windows" else "sliding_closed"
-            self._hot_metrics[m] = self._hot_metrics.get(m, 0) + merged.num_rows
-        # sessions: gap-merge all extracted intervals per key
-        intervals: list = []
-        for r in results:
-            intervals.extend(r.get("hot", {}).get("hot_sessions") or [])
-        if intervals:
-            from ..state.store import _bottomk_union, _session_rows_table
-
-            gap = cfg.session_gap_ms
-            ssk = cfg.session_sample_k
-            per_key: dict[str, list] = {}
-            for k, *rest in intervals:
-                per_key.setdefault(k, []).append(list(rest))
-            closed_rows, open_by_home = [], {}
-            keys_np = np.asarray(sorted(per_key), dtype=object)
-            homes = partition_for(keys_np, cfg.num_partitions)
-            for k, home in zip(keys_np, homes):
-                # explicit scalar sort key: interval tails may carry the
-                # numpy sample arrays, which must never be compared
-                ivs = sorted(per_key[k], key=lambda s: (s[0], s[1], s[2]))
-                merged_ivs = [ivs[0]]
-                for s in ivs[1:]:
-                    prev = merged_ivs[-1]
-                    if s[0] <= prev[1] + gap:
-                        prev[1] = max(prev[1], s[1])
-                        prev[2] += s[2]
-                        prev[3] += s[3]
-                        if len(prev) > 5 and len(s) > 5:
-                            prev[4], prev[5] = _bottomk_union(
-                                prev[4], prev[5], s[4], s[5], ssk)
-                        elif len(s) > 5:
-                            prev.extend([s[4], s[5]])
-                    else:
-                        merged_ivs.append(s)
-                for s in merged_ivs:
-                    if s[1] + gap < wm:
-                        closed_rows.append((k, *s))
-                    else:
-                        open_by_home.setdefault(int(home), {}).setdefault(
-                            k, []
-                        ).append(s)
-            if closed_rows:
-                tbl = _session_rows_table(closed_rows, ssk)
-                tbl = _stamp(tbl, -1, epoch)
-                frag = self.sink["sessions"].stage_fragment(tbl, epoch, -1)
-                staged.append(("sessions", frag))
-                self._hot_metrics["sessions_closed"] = (
-                    self._hot_metrics.get("sessions_closed", 0) + len(closed_rows)
-                )
-            if open_by_home:
-                call_hosts("adopt_sessions", [
-                    (self.actors[h], (("p", h), sess))
-                    for h, sess in open_by_home.items()])
-        return staged
+        """Merge hot-key close partials across salt partitions with
+        ``close_hot_partials`` (the partitions' own fold and close), stage
+        its tables, and ADOPT the merged still-open sessions into each
+        key's home partition (must precede the epoch checkpoint).
+        Returns [(sink_name, FragmentMeta)] to include in the commit."""
+        partials = [r["hot"] for r in results if r["hot"]]
+        if not partials:
+            return []
+        tables, scratch = close_hot_partials(partials, self.cfg, epoch, wm)
+        for k, v in scratch.metrics.items():
+            self._hot_metrics[k] = self._hot_metrics.get(k, 0) + v
+        if scratch.sessions:
+            keys = sorted(scratch.sessions)
+            homes = partition_for(np.asarray(keys, dtype=object),
+                                  self.cfg.num_partitions)
+            by_home: dict[int, list] = {}
+            for k, h in zip(keys, homes):
+                by_home.setdefault(int(h), []).extend(
+                    (k, *iv) for iv in scratch.sessions[k])
+            call_hosts("adopt_sessions", [
+                (self.actors[h], (("p", h), rows))
+                for h, rows in by_home.items()])
+        return [(name, self.sink[name].stage_fragment(tbl, epoch, -1))
+                for name, tbl in tables.items()]
 
     def _update_hot_detection(self, results: list, acks: list):
         """Fold per-epoch key counts into the sticky hot set."""

@@ -22,7 +22,8 @@ Shape (all heavy work in Ray tasks, scatter/gather by partition):
    fresh ``PartitionState`` and save ONE full checkpoint at the
    committed epoch.  Merge rules mirror the live operators:
    window partials add (a salted hot key's partials live on several
-   old partitions); sessions gap-merge (`_merge_session_range`);
+   old partitions) and sessions gap-merge, both through
+   ``PartitionState.absorb``;
    the compacted view takes last-write-wins by (ts, rev); buffered
    updates concatenate then dedup by (key, ts, rev) (hot-key fan-out
    replicas are exact copies); clip/funnel buffers are disjoint row
@@ -55,7 +56,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..hashing import partition_for
-from .store import PartitionState, _fold_window_cell, find_restore_chain
+from .store import PartitionState, find_restore_chain
 
 __all__ = ["rescale_state"]
 
@@ -151,27 +152,17 @@ def _merge_one(q: int, tmp_root: str, epoch: int, cfg, max_ts: int,
 
     st = PartitionState(q, cfg)
     qdir = os.path.join(tmp_root, "_shards", f"q{q:04d}")
-    gap = cfg.session_gap_ms
     for name in flist(qdir):
         d = pickle.loads(fget(os.path.join(qdir, name)))
         # salted hot key: partials from several old partitions fold with
-        # the one shared cell rule (handles the window_sample_k and
-        # window_distinct_k cells too)
-        sample_k = cfg.window_sample_k
-        distinct_k = cfg.window_distinct_k
-        mode_k = cfg.window_mode_k
-        top_k = cfg.window_top_k
-        for target, delta in ((st.win, d["win"]), (st.swin, d["swin"])):
-            for kw, acc in delta.items():
-                _fold_window_cell(target, kw, acc, sample_k, distinct_k,
-                                  mode_k, top_k)
-        for k, lst in d["sessions"].items():
-            for s in lst:
-                if len(s) > 5:
-                    st._merge_session_range(k, s[0], s[1], s[2], s[3], gap,
-                                            hs_s=s[4], vs_s=s[5])
-                else:
-                    st._merge_session_range(k, s[0], s[1], s[2], s[3], gap)
+        # the partitions' one merge rule (window cells with every sketch,
+        # sessions with their sample)
+        st.absorb(
+            win=[(*kw, *acc) for kw, acc in d["win"].items()],
+            swin=[(*kw, *acc) for kw, acc in d["swin"].items()],
+            sessions=[(k, *s) for k, lst in d["sessions"].items()
+                      for s in lst],
+        )
         for k, rec in d["view"].items():
             cur = st.view.get(k)
             if cur is None or (rec[0], rec[1]) >= (cur[0], cur[1]):

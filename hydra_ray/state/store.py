@@ -263,10 +263,6 @@ class PartitionState:
         # per-epoch clip-key counts (reset each close) — feeds the driver's
         # sticky hot-key detection; bounded by the report cap, not by rows
         self.key_counts: dict[str, int] = {}
-        # keys whose open sessions changed since the last close (early-
-        # fire sessions tier; transient — cleared at every close, never
-        # checkpointed: a restore replays the epoch's ingests anyway)
-        self._touched_sessions: set = set()
         self.max_ts = -(1 << 62)
         self.metrics = defaultdict(int)
         # deltas since the last checkpoint (incremental-checkpoint support:
@@ -612,8 +608,6 @@ class PartitionState:
         optional bottom-k duration sample) into the per-key open-session
         list (kept sorted, non-overlapping under the gap relation)."""
         k = self.cfg.session_sample_k
-        if self.cfg.early_fire:
-            self._touched_sessions.add(key)
         lst = self.sessions[key]
         new = [t0, t1, cnt, dur]
         if hs_s is not None:
@@ -723,10 +717,14 @@ class PartitionState:
     def close_epoch(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()) -> dict:
         """Advance to watermark ``wm``: emit, close, evict.  Returns arrow
         outputs {replicated, windows, sessions, dlq} (possibly empty) plus
-        hot-key partials (``hot_windows``/``hot_sliding`` tables and the
-        ``hot_sessions`` interval list) that the DRIVER merges across salt
-        partitions before staging — a salted key's state lives on several
-        partitions, so per-partition close emits only its partial.
+        the ``hot_keys``' raw partials: ``hot_windows``/``hot_sliding``
+        as ``(key, window_start, *cell)`` rows of the closed cells and
+        ``hot_sessions`` as ``(key, *interval)`` rows of every session,
+        open or closed.  A salted key's state lives on several
+        partitions, so the driver folds these into one scratch partition
+        with ``absorb`` and closes that (``close_hot_partials``).  With
+        ``early_fire`` it also returns ``early_touched``/
+        ``early_touched_sliding``: the open cells this epoch touched.
         """
         out = {}
         out["replicated"] = self._emit_replicated(epoch, wm)
@@ -746,8 +744,9 @@ class PartitionState:
             # sets and asks EVERY partition for its current partial
             # totals (a salted key's cell lives on several partitions,
             # and a partition untouched this epoch may still hold older
-            # rows of a touched cell), then merges additively — the same
-            # cross-salt fold rule as final close.
+            # rows of a touched cell), then folds them with the same
+            # cross-salt rule as final close.  Sessions need no touched
+            # set: every epoch renders every open session.
             def _touched_tbl(delta, live):
                 touched = [kw for kw in delta if kw in live]
                 if not touched:
@@ -765,11 +764,6 @@ class PartitionState:
             if self.cfg.sliding_size_ms:
                 out["early_touched_sliding"] = _touched_tbl(
                     self._delta_swin, self.swin)
-            if self.cfg.session_gap_ms:
-                out["early_touched_sessions"] = sorted(
-                    k for k in self._touched_sessions if k in self.sessions
-                ) or None
-                self._touched_sessions.clear()
         if wm >= WATERMARK_MAX and self.view:
             # end of stream: materialize the compacted latest-value view
             # (the reference's compacted-topic snapshot, T2 semantics).
@@ -796,54 +790,27 @@ class PartitionState:
         return out
 
     def render_window_cells(self, cells: pa.Table,
-                            kind: str = "windows") -> pa.Table | None:
-        """Current PARTIAL totals (base counters only) of the requested
+                            kind: str = "windows") -> list:
+        """``(key, window_start, cnt, sum)`` rows of the requested
         still-open tumbling ("windows") or sliding ("sliding") cells
         that live on THIS partition — the per-partition half of the
-        early-fire emission; the driver adds partials across
+        early-fire emission; the driver folds them across
         partitions/salts.  Sketch columns stay a close-time/
         queryable-state feature (stable live schema)."""
-        if kind == "sliding":
-            live, size = self.swin, self.cfg.sliding_size_ms
-        else:
-            live, size = self.win, self.cfg.window_size_ms
+        live = self.swin if kind == "sliding" else self.win
         ks = cells["clip_id"].to_pylist()
-        ws = cells["window_start"].to_numpy(zero_copy_only=False)
-        rows = []
-        for k, w in zip(ks, ws):
-            cell = live.get((k, int(w)))
-            if cell is not None:
-                rows.append((k, int(w), int(cell[0]), int(cell[1])))
-        if not rows:
-            return None
-        return pa.table({
-            "clip_id": pa.array([r[0] for r in rows], pa.string()),
-            "window_start": pa.array([r[1] for r in rows], pa.int64()),
-            "window_end": pa.array([r[1] + size for r in rows], pa.int64()),
-            "n_clips": pa.array([r[2] for r in rows], pa.int64()),
-            "sum_dur_ms": pa.array([r[3] for r in rows], pa.int64()),
-        })
+        ws = cells["window_start"].to_pylist()
+        return [(k, w, cell[0], cell[1]) for k, w in zip(ks, ws)
+                if (cell := live.get((k, w))) is not None]
 
-    def render_session_cells(self, keys: list) -> pa.Table | None:
-        """Current open-session intervals of the requested keys on THIS
-        partition (early-fire sessions tier).  Runs AFTER hot-key
-        adoption in the epoch sequence, so every key's open sessions are
-        consolidated on exactly one partition — the driver concatenates,
-        no cross-partition gap-merge needed."""
-        rows = []
-        for k in keys:
-            for sess in self.sessions.get(k, ()):
-                rows.append((k, int(sess[0]), int(sess[1]),
-                             int(sess[2]), int(sess[3])))
-        if not rows:
-            return None
-        return pa.table({
-            "clip_id": pa.array([r[0] for r in rows], pa.string()),
-            "session_start": pa.array([r[1] for r in rows], pa.int64()),
-            "session_end": pa.array([r[2] for r in rows], pa.int64()),
-            "n_clips": pa.array([r[3] for r in rows], pa.int64()),
-            "sum_dur_ms": pa.array([r[4] for r in rows], pa.int64()),
-        })
+    def render_session_cells(self) -> pa.Table | None:
+        """Every open session on THIS partition (early-fire sessions
+        tier).  Runs AFTER hot-key adoption in the epoch sequence, so
+        every key's open sessions sit on exactly one partition — the
+        driver concatenates, no cross-partition gap-merge needed."""
+        rows = [(k, *s) for k in sorted(self.sessions)
+                for s in self.sessions[k]]
+        return _session_rows_table(rows, 0) if rows else None
 
     def _close_funnel(self, epoch: int, wm: int) -> pa.Table | None:
         """Advance every buffered key's earliest-completion chain with the
@@ -1070,8 +1037,7 @@ class PartitionState:
         self.metrics["replicated_out"] += tbl.num_rows
         return tbl
 
-    def _window_rows_table(self, rows: list, size: int,
-                           partial: bool = False) -> pa.Table:
+    def _window_rows_table(self, rows: list, size: int) -> pa.Table:
         t = pa.table(
             {
                 "clip_id": pa.array([r[0] for r in rows], pa.string()),
@@ -1085,95 +1051,52 @@ class PartitionState:
         distinct_k = self.cfg.window_distinct_k
         idx = 4
         if sample_k and rows and len(rows[0]) > idx + 1:  # [hs, vs] cells
-            if partial:
-                # hot-key partials carry the RAW sample so the driver
-                # merge can re-union before computing quantiles
-                t = t.append_column(
-                    "sample_h",
-                    pa.array([r[idx].tolist() for r in rows],
-                             pa.list_(pa.uint64())),
-                ).append_column(
-                    "sample_v",
-                    pa.array([r[idx + 1].tolist() for r in rows],
-                             pa.list_(pa.int64())),
-                )
-            else:
-                qs = [_sample_quantiles(r[idx + 1]) for r in rows]
-                t = t.append_column(
-                    "p50_dur_ms", pa.array([q[0] for q in qs], pa.int64())
-                ).append_column(
-                    "p90_dur_ms", pa.array([q[1] for q in qs], pa.int64())
-                ).append_column(
-                    "sample_n",
-                    pa.array([len(r[idx + 1]) for r in rows], pa.int64())
-                )
+            qs = [_sample_quantiles(r[idx + 1]) for r in rows]
+            t = t.append_column(
+                "p50_dur_ms", pa.array([q[0] for q in qs], pa.int64())
+            ).append_column(
+                "p90_dur_ms", pa.array([q[1] for q in qs], pa.int64())
+            ).append_column(
+                "sample_n",
+                pa.array([len(r[idx + 1]) for r in rows], pa.int64())
+            )
             idx += 2
         if distinct_k and rows and len(rows[0]) > idx:    # [ch] KMV cells
-            if partial:
-                t = t.append_column(
-                    "distinct_h",
-                    pa.array([r[idx].tolist() for r in rows],
-                             pa.list_(pa.uint64())),
-                )
-            else:
-                t = t.append_column(
-                    "distinct_content",
-                    pa.array([_kmv_estimate(r[idx], distinct_k, n_cap=r[2])
-                              for r in rows], pa.int64()),
-                )
+            t = t.append_column(
+                "distinct_content",
+                pa.array([_kmv_estimate(r[idx], distinct_k, n_cap=r[2])
+                          for r in rows], pa.int64()),
+            )
             idx += 1
         mode_k = self.cfg.window_mode_k
         if mode_k and rows and len(rows[0]) > idx + 1:    # [mh, mc] cells
-            if partial:
-                t = t.append_column(
-                    "mode_hs",
-                    pa.array([r[idx].tolist() for r in rows],
-                             pa.list_(pa.uint64())),
-                ).append_column(
-                    "mode_ns",
-                    pa.array([r[idx + 1].tolist() for r in rows],
-                             pa.list_(pa.int64())),
-                )
-            else:
-                modes = [_mode_of(r[idx], r[idx + 1]) for r in rows]
-                t = t.append_column(
-                    "mode_h", pa.array([m[0] for m in modes], pa.uint64())
-                ).append_column(
-                    "mode_n", pa.array([m[1] for m in modes], pa.int64())
-                )
+            modes = [_mode_of(r[idx], r[idx + 1]) for r in rows]
+            t = t.append_column(
+                "mode_h", pa.array([m[0] for m in modes], pa.uint64())
+            ).append_column(
+                "mode_n", pa.array([m[1] for m in modes], pa.int64())
+            )
             idx += 2
         top_k = self.cfg.window_top_k
         if top_k and rows and len(rows[0]) > idx + 1:     # [tv, th] cells
-            if partial:
-                # hot-key partials carry hashes too so the driver merge
-                # can dedup-union before truncating
-                t = t.append_column(
-                    "top_vs",
-                    pa.array([r[idx].tolist() for r in rows],
-                             pa.list_(pa.int64())),
-                ).append_column(
-                    "top_hs",
-                    pa.array([r[idx + 1].tolist() for r in rows],
-                             pa.list_(pa.uint64())),
-                )
-            else:
-                t = t.append_column(
-                    "top_durs",
-                    pa.array([r[idx].tolist() for r in rows],
-                             pa.list_(pa.int64())),
-                ).append_column(
-                    "top1_dur_ms",
-                    pa.array([int(r[idx][0]) if len(r[idx]) else 0
-                              for r in rows], pa.int64()),
-                )
+            t = t.append_column(
+                "top_durs",
+                pa.array([r[idx].tolist() for r in rows],
+                         pa.list_(pa.int64())),
+            ).append_column(
+                "top1_dur_ms",
+                pa.array([int(r[idx][0]) if len(r[idx]) else 0
+                          for r in rows], pa.int64()),
+            )
         return t
 
     def _close_window_dict(
         self, target: dict, size: int, epoch: int, wm: int, hot_keys: frozenset,
         metric: str,
-    ) -> tuple[pa.Table | None, pa.Table | None]:
+    ) -> tuple[pa.Table | None, list | None]:
         """Shared tumbling/sliding close: cold rows become this partition's
-        staged output; hot rows are PARTIALS returned for driver merge."""
+        staged output; hot rows are raw ``(key, window_start, *cell)``
+        partials returned for the driver's merge."""
         closed_keys = [kw for kw in target if kw[1] + size <= wm]
         if not closed_keys:
             return None, None
@@ -1186,8 +1109,7 @@ class PartitionState:
         if cold:
             tbl = _stamp(self._window_rows_table(cold, size), self.partition, epoch)
             self.metrics[metric] += tbl.num_rows
-        hot_tbl = self._window_rows_table(hot, size, partial=True) if hot else None
-        return tbl, hot_tbl
+        return tbl, hot or None
 
     def _close_windows(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()):
         size = self.cfg.window_size_ms
@@ -1242,17 +1164,24 @@ class PartitionState:
             self.metrics["sessions_closed"] += tbl.num_rows
         return tbl, hot_rows or None
 
-    def adopt_sessions(self, merged: dict):
-        """Home-partition adoption of driver-merged still-open hot sessions."""
-        gap = self.cfg.session_gap_ms
-        for k, intervals in merged.items():
-            for s in intervals:
-                if len(s) > 5:
-                    self._merge_session_range(
-                        k, s[0], s[1], s[2], s[3], gap,
-                        hs_s=s[4], vs_s=s[5])
-                else:
-                    self._merge_session_range(k, s[0], s[1], s[2], s[3], gap)
+    def absorb(self, win=(), swin=(), sessions=()):
+        """Fold other partitions' partials into this state: the ONE
+        cross-partition merge, used by home-partition adoption of hot
+        sessions, the driver's salted-partial merge and rescale.
+        ``win``/``swin`` are ``(key, window_start, *cell)`` rows folded
+        by ``_fold_window_cell``; ``sessions`` are ``(key, t0, t1, cnt,
+        dur[, hs, vs])`` rows gap-merged by ``_merge_session_range``.
+        Folds into the live dicts only: sessions go whole into every
+        delta checkpoint, and no window caller saves a delta."""
+        cfg = self.cfg
+        ks = (cfg.window_sample_k, cfg.window_distinct_k, cfg.window_mode_k,
+              cfg.window_top_k)
+        for target, rows in ((self.win, win), (self.swin, swin)):
+            for k, w, *cell in rows:
+                _fold_window_cell(target, (k, w), cell, *ks)
+        for k, t0, t1, cnt, dur, *sample in sessions:
+            self._merge_session_range(k, t0, t1, cnt, dur,
+                                      cfg.session_gap_ms, *sample)
 
     def buffered_updates_for(self, keys: frozenset) -> tuple:
         """Buffered (non-evicted) update records for ``keys`` — shipped to
@@ -1473,6 +1402,30 @@ def _session_rows_table(rows: list, sample_k: int) -> pa.Table:
             "sample_n", pa.array([len(r[6]) for r in rows], pa.int64())
         )
     return tbl
+
+
+def close_hot_partials(partials: list, cfg, epoch: int,
+                       wm: int) -> tuple[dict, PartitionState]:
+    """Merge salted hot-key close partials (the ``hot`` dicts that
+    ``StateHost.close`` returns) in a scratch partition -1: ``absorb``
+    folds them with the partitions' own rule, and the partitions' own
+    window and session close at the same ``wm`` renders them, stamped
+    partition=-1.  Returns ``({sink: table}, scratch)``; the scratch keeps
+    the close ``metrics`` and the merged sessions still open, which go to
+    each key's home partition.  No ``close_epoch``: it would emit the
+    join, DLQ and view outputs of an empty partition."""
+    st = PartitionState(-1, cfg)
+    for h in partials:
+        st.absorb(h.get("hot_windows", ()), h.get("hot_sliding", ()),
+                  h.get("hot_sessions", ()))
+    out = {}
+    for sink, close in (("windows", st._close_windows),
+                        ("sliding", st._close_sliding),
+                        ("sessions", st._close_sessions)):
+        tbl, _ = close(epoch, wm)
+        if tbl is not None:
+            out[sink] = tbl
+    return out, st
 
 
 def _stamp(tbl: pa.Table, partition: int, epoch: int) -> pa.Table:
@@ -1734,8 +1687,7 @@ class StateHost:
                     apply[kind](table, wm_i)
         outputs = state.close_epoch(epoch, wm, hot)
         early = {k: outputs.pop(k, None) for k in (
-            "early_touched", "early_touched_sliding",
-            "early_touched_sessions")}
+            "early_touched", "early_touched_sliding")}
         staged, hot_out = {}, {}
         for name, tbl in outputs.items():
             if name.startswith("hot_"):
@@ -1760,25 +1712,26 @@ class StateHost:
         }
 
     def render(self, slots: list, cells, sliding_cells=None,
-               session_keys=None) -> list[tuple]:
-        """Early-fire live partials of each partition → (windows,
-        sliding, sessions)."""
+               sessions: bool = False) -> list[tuple]:
+        """Early-fire live partials of each partition → (windows rows,
+        sliding rows, open-sessions table)."""
         def one(slot):
             st = self.state[slot]
             return (
                 st.render_window_cells(cells, "windows")
-                if cells is not None else None,
+                if cells is not None else (),
                 st.render_window_cells(sliding_cells, "sliding")
-                if sliding_cells is not None else None,
-                st.render_session_cells(session_keys)
-                if session_keys else None,
+                if sliding_cells is not None else (),
+                st.render_session_cells() if sessions else None,
             )
 
         return [one(slot) for slot in slots]
 
     def adopt_sessions(self, parts: list) -> list[bool]:
-        for slot, merged in parts:
-            self.state[slot].adopt_sessions(merged)
+        """Home-partition adoption of merged still-open hot sessions:
+        ``(slot, [(key, *interval), ...])`` entries."""
+        for slot, rows in parts:
+            self.state[slot].absorb(sessions=rows)
         return [True] * len(parts)
 
     def buffered_updates_for(self, parts: list) -> list:

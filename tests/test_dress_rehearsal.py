@@ -12,8 +12,8 @@ server does under the hood, so this is the faithful stand-in for the
 BASELINE.json `ray job submit` invocation.
 
 Teardown kills ONLY the cluster's own daemons (matched by the unique
-GCS port in their cmdlines) — never the pytest session's local-mode
-raylet.
+GCS port or temp dir in their cmdlines) — never the pytest session's
+local-mode raylet.
 """
 
 import json
@@ -79,14 +79,18 @@ ray.shutdown()
 """
 
 
-def _port_tagged_pids(port: int) -> list[int]:
+def _port_tagged_pids(port: int, tempdir: str) -> list[int]:
     """PIDs of THIS cluster's daemons only: match the explicit
-    gcs_server_port= / gcs-address=…:<port> substrings (a bare digit
-    match could catch the pytest session's own Ray processes through an
-    unrelated port or path containing the digits)."""
+    gcs_server_port= / gcs-address=…:<port> substrings or the cluster's
+    unique ``--temp-dir`` (the head's autoscaler monitor carries only
+    the latter, and so do the raylets and agents, whose gcs-address is
+    the node IP, where that is not 127.0.0.1); a bare digit match could
+    catch the pytest session's own Ray processes through an unrelated
+    port or path containing the digits."""
     out = subprocess.run(["pgrep", "-af", "ray"], capture_output=True,
                          text=True).stdout
-    tags = (f"gcs_server_port={port}", f"gcs-address=127.0.0.1:{port}")
+    tags = (f"gcs_server_port={port}", f"gcs-address=127.0.0.1:{port}",
+            tempdir)
     pids = []
     for line in out.splitlines():
         pid, _, cmd = line.partition(" ")
@@ -144,7 +148,7 @@ def test_two_node_cluster_driver_matches_single_node(tmp_path):
         assert len(cluster["actor_nodes"]) >= 2, cluster["actor_nodes"]
     finally:
         if started:
-            for pid in _port_tagged_pids(port):
+            for pid in _port_tagged_pids(port, tempdir):
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:

@@ -173,3 +173,44 @@ def test_early_fire_sessions_match_queryable_state(tmp_path, ray_session):
         ["clip_id", "session_start"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         live2.drop(columns=["provisional"]), final)
+
+
+def test_sessions_live_keeps_idle_open_session(tmp_path, ray_session):
+    """An open session stays in ``read_sessions_live`` after an epoch that
+    brought its key no events: every epoch renders every open session,
+    not only the keys it touched."""
+    from hydra_ray.pipelines.replicate import (
+        ReplicateConfig,
+        read_sessions_live,
+    )
+    from hydra_ray.synth import BASE_TS_MS, synth_clips_table
+
+    root = str(tmp_path)
+    clips = synth_clips_table(3)
+    clips = clips.set_column(
+        clips.schema.get_field_index("clip_id"), "clip_id",
+        pa.array(["idle", "busy", "busy"], pa.string()),
+    ).set_column(
+        clips.schema.get_field_index("event_ts"), "event_ts",
+        pa.array([BASE_TS_MS + d for d in (0, 1_000, 2_000)],
+                 clips.schema.field("event_ts").type),
+    )
+    ct = Table.create(f"{root}/clips", schema=clips.schema)
+    ct.append(clips.slice(0, 2))        # epoch 0: idle + busy
+    ct.append(clips.slice(2, 1))        # epoch 1: busy only
+    c = ReplicateConfig(num_partitions=2, session_gap_ms=5_000,
+                        actor_num_cpus=0.25, early_fire=True,
+                        hot_key_threshold=0.0)
+    ReplicatePipeline(f"{root}/clips", f"{root}/out", c).run(max_epochs=2)
+
+    live = read_sessions_live(f"{root}/out")
+    prov = live[live["provisional"]].set_index("clip_id")
+    assert sorted(prov.index) == ["busy", "idle"], live
+    assert prov.loc["idle", "n_clips"] == 1
+    assert prov.loc["busy", "n_clips"] == 2
+
+    # drain: both sessions close, only finals remain
+    ReplicatePipeline(f"{root}/clips", f"{root}/out", c).run()
+    live2 = read_sessions_live(f"{root}/out")
+    assert not live2["provisional"].any()
+    assert sorted(live2["clip_id"]) == ["busy", "idle"]

@@ -249,3 +249,74 @@ def test_exactly_once_salted(tmp_path, ray_session, hot_run):
     pipe2 = ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg(), f"{root}/updates")
     pipe2.run()
     assert _content_signature(f"{root}/out") == clean_sig
+
+
+def test_salted_partials_merge_equals_unsalted_close():
+    """Ray-free: one batch split over n_salts partitions, each closed
+    with every key hot, then merged by ``close_hot_partials`` (the
+    driver's path) gives the same windows, sliding and sessions tables —
+    and the same still-open sessions — as one unsalted partition's
+    close, with all four window sketches and the session sample on."""
+    import pyarrow as pa
+
+    from hydra_ray.state.store import (
+        PartitionState,
+        _session_rows_table,
+        close_hot_partials,
+    )
+
+    c = cfg(window_sample_k=3, window_distinct_k=4, window_mode_k=3,
+            window_top_k=2, session_sample_k=3)
+    rng = np.random.default_rng(7)
+    n = 300
+    keys = np.array([f"k{i}" for i in range(6)], dtype=object)
+    batch = pa.table({
+        "clip_id": pa.array(rng.choice(keys, n), pa.string()),
+        "event_ts": pa.array(rng.integers(0, 120_000, n), pa.timestamp("ms")),
+        "dur_ms": pa.array(rng.integers(100, 5_000, n), pa.int64()),
+        "seq": pa.array(np.arange(n), pa.int64()),
+        "content_h": pa.array(rng.integers(0, 6, n).astype(np.uint64)),
+    })
+    wm0, wm, epoch = -(1 << 62), 70_000, 3
+
+    ref = PartitionState(0, c)
+    ref.ingest_clips(batch, wm0)
+    names = ("windows", "sliding", "sessions")
+
+    def close(st, hot=frozenset()):
+        return [fn(epoch, wm, hot) for fn in (
+            st._close_windows, st._close_sliding, st._close_sessions)]
+
+    ref_out = {name: t for name, (t, _) in zip(names, close(ref))}
+
+    salt = rng.integers(0, c.n_salts, n)
+    partials = []
+    for s in range(c.n_salts):
+        st = PartitionState(s, c)
+        st.ingest_clips(batch.filter(pa.array(salt == s)), wm0)
+        partial = {}
+        for name, (cold, part) in zip(names, close(st, frozenset(keys))):
+            assert cold is None, name                 # every key is hot
+            if part is not None:
+                partial[f"hot_{name}"] = part
+        partials.append(partial)
+    got, scratch = close_hot_partials(partials, c, epoch, wm)
+
+    assert set(got) == set(ref_out) == {"windows", "sliding", "sessions"}
+    for name, tbl in ref_out.items():
+        assert tbl.num_rows > 0, name
+        assert set(got[name]["partition"].to_pylist()) == {-1}
+        assert got[name].drop_columns(["partition"]).equals(
+            tbl.drop_columns(["partition"])), name
+    assert {"p50_dur_ms", "distinct_content", "mode_h", "top_durs"} <= set(
+        got["windows"].column_names)
+    assert "p50_dur_ms" in got["sessions"].column_names
+
+    def open_rows(st):
+        return _session_rows_table(
+            [(k, *s) for k in sorted(st.sessions) for s in st.sessions[k]],
+            c.session_sample_k)
+
+    assert open_rows(ref).num_rows > 0
+    assert open_rows(scratch).equals(open_rows(ref))
+    assert scratch.metrics["windows_closed"] == ref.metrics["windows_closed"]

@@ -3,6 +3,7 @@ object-store shim, and the lancelite commit protocol replayed verbatim
 against the shim (no rename, no in-place overwrite anywhere)."""
 
 import os
+import uuid
 
 import pyarrow as pa
 import pytest
@@ -11,6 +12,13 @@ from hydra_ray.fs import LocalFS, StrictObjectFS, resolve, with_scheme
 from hydra_ray.table import Table
 
 import tests.test_lancelite as tl
+
+
+def _tok(prefix: str) -> str:
+    """A metered-op token unique to this test run: ``meter_counts`` reads
+    every log ever written under a token, so a fixed token would also
+    count the ops of an earlier run that used it."""
+    return prefix + uuid.uuid4().hex[:8]
 
 
 # ---------------------------------------------------------------- fs unit
@@ -256,7 +264,7 @@ def test_epoch_commit_op_complexity(tmp_path):
 
     results = {}
     for nfrag in (2, 8):
-        tok = f"epoch{nfrag}"
+        tok = _tok(f"epoch{nfrag}")
         root = metered_root(str(tmp_path / f"t{nfrag}"), token=tok)
         t = Table.create(root)
         staged = [
@@ -288,7 +296,7 @@ def test_gc_staged_op_count(tmp_path):
     log and one of ``data/`` per sink table, nothing more."""
     from hydra_ray.fs import meter_counts, metered_root
 
-    tok = "gcstaged"
+    tok = _tok("gcstaged")
     t = Table.create(metered_root(str(tmp_path / "t"), token=tok))
     before = meter_counts(tok)
     assert t.gc_staged() == 0
@@ -313,7 +321,7 @@ def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     # ---- headline pipeline at two scales, same epoch count
     pipe_counts = {}
     for n_clips in (400, 800):
-        tok = f"repl{n_clips}"
+        tok = _tok(f"repl{n_clips}")
         root = metered_root(str(tmp_path / f"r{n_clips}"), token=tok)
         clips = synth_clips_table(n_clips)
         ct = Table.create(f"{root}/clips", schema=clips.schema)
@@ -339,7 +347,7 @@ def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     # ---- partitioned sink at two scales, same partition count
     sink_counts = {}
     for n in (2_000, 4_000):
-        tok = f"sink{n}"
+        tok = _tok(f"sink{n}")
         root = metered_root(str(tmp_path / f"s{n}"), token=tok)
         ds = rd.range(n).map_batches(
             lambda b: pa.table({"k": b["id"], "v": b["id"]}),
@@ -372,7 +380,7 @@ def test_streaming_under_injected_latency(tmp_path, ray_session):
     base = time.time() - t0
     sig = tr._content_signature(f"{lroot}/out")
 
-    mroot = metered_root(str(tmp_path / "lat"), token="lat5", latency_ms=5)
+    mroot = metered_root(str(tmp_path / "lat"), token=_tok("lat5"), latency_ms=5)
     tr.build_sources(mroot)
     t0 = time.time()
     ReplicatePipeline(f"{mroot}/clips", f"{mroot}/out", tr.cfg(),
@@ -442,7 +450,7 @@ def test_checkpoint_gc_issues_deletes_only(tmp_path, ray_session):
     )
     dirs = ["p0000", "p0001", "d0000", "d0001", "n0000", "n0001"]
     for versions in (3, 6):
-        tok = f"ckgc{versions}"
+        tok = _tok(f"ckgc{versions}")
         root = str(tmp_path / f"v{versions}")
         clips = synth_clips_table(20 * versions)
         ct = Table.create(f"{root}/clips", schema=clips.schema)
