@@ -13,18 +13,23 @@ checkpoint/resume — the Ray-Data-native rebuild of:
   → here 2PC epoch commit (`hydra_ray.table.lancelite`);
 - the consumer-groups replication job's checkpoint/seek/resume design
   `.../util/ConsumerGroupsOffsetConsumer.scala:47-74, 219-248`
-  → here per-epoch lineage in sink properties + state checkpoints.
+  → here per-epoch lineage in the ``_lineage/`` side log + state
+  checkpoints.
 
 Epoch protocol (all steps deterministic given committed state):
-  1. read source deltas (version ranges) as lazy Datasets
+  1. fix the epoch's source slice (clips/updates version ranges) once,
+     when the epoch is first launched — pre-launch included; a version
+     that lands later goes to the next epoch.  The lineage records the
+     slice, and no epoch is ever launched twice in one run.
   2. ingest tasks: decode clips / project updates, route per-partition
      slices to the state host that runs the partition, one RPC per host
      per batch (acks carry max event_ts per partition)
   3. advance watermark  wm = min over sources(max_ts) − allowed_lateness
   4. close_epoch(epoch, wm) on every partition → staged sink fragments
   5. every partition and shard checkpoints its state for this epoch
-  6. commit aux sinks, then the main sink (single source of truth) with
-     {lineage, watermark, checkpoints}; replay of any step is idempotent
+  6. commit aux sinks and the lineage entry, then the main sink (single
+     source of truth) with {source versions, watermark, hot set}; replay
+     of any step is idempotent
 Crash at ANY point: resume restores the checkpoint of the main sink's
 last committed epoch and replays — output rows are exactly those of a
 single clean run (FIXTURES.md F4 exactly-once oracle).
@@ -78,11 +83,6 @@ class ReplicateConfig:
     actor_num_cpus: float = 0.5
     keep_checkpoints: int = 2
     record_size_limit: int = 0
-    # hot-key salting (north-rule skew handling): keys whose cumulative
-    # share of clip rows reaches the threshold are STICKY-hot — their
-    # clips spread over n_salts salted partitions, their updates fan out
-    # to the salt set, and window/session state merges at close
-    # (stages/skew.py strategy, wired end to end).  0 disables.
     # incremental (speculative) window emission: each epoch upserts the
     # CURRENT cross-partition totals of every tumbling cell touched that
     # epoch into the windows_live sink (provisional rows; the windows
@@ -90,6 +90,11 @@ class ReplicateConfig:
     # read_windows_live).  Off by default: the live view costs one extra
     # actor round-trip + one staged fragment per epoch.
     early_fire: bool = False
+    # hot-key salting (north-rule skew handling): keys whose cumulative
+    # share of clip rows reaches the threshold are STICKY-hot — their
+    # clips spread over n_salts salted partitions, their updates fan out
+    # to the salt set, and window/session state merges at close
+    # (stages/skew.py strategy, wired end to end).  0 disables.
     hot_key_threshold: float = 0.01
     n_salts: int = 4
     # full state snapshot every K epochs; the epochs between checkpoint
@@ -296,7 +301,6 @@ class _Router:
         decoder=None,
         payload_root: str | None = None,
         epoch: int = 0,
-        nonce: int = 0,
         hot_keys: frozenset = frozenset(),
         n_salts: int = 4,
         flush_bytes: int = 64 << 20,
@@ -324,7 +328,6 @@ class _Router:
         self.decoder = decoder
         self.payload_root = payload_root
         self.epoch = epoch
-        self.nonce = nonce
         self.hot_keys = hot_keys
         self.n_salts = n_salts
         self.flush_bytes = flush_bytes
@@ -362,13 +365,11 @@ class _Router:
         return frags
 
     def __call__(self, batch: pa.Table) -> list[dict]:
-        import time as _time
-
         handles, kind, wm, key_col, P = (
             self.handles, self.kind, self.wm, self.key_col, self.P,
         )
         decoder, payload_root = self.decoder, self.payload_root
-        epoch, nonce = self.epoch, self.nonce
+        epoch = self.epoch
         hot_keys, n_salts = self.hot_keys, self.n_salts
         from ..stages.windows import ts_to_ms as _ts_to_ms
 
@@ -392,10 +393,8 @@ class _Router:
             from ..state.dedup_index import content_hash_of
 
             ch = content_hash_of(batch, self.content_cols)
-        t0 = _time.perf_counter()
         if decoder is not None:
             batch = decoder(batch)
-        t1 = _time.perf_counter()
         filt = None
         if self.payload_filter is not None and kind == "clips":
             # content gate on decode-ok rows only (bad rows DLQ as
@@ -531,9 +530,8 @@ class _Router:
             items.append((handles[p], (("p", int(p)), kind, sub)))
         # epoch tag is REQUIRED: hosts stash and apply at close(epoch), so
         # pipelined e+1 ingests can never leak into close(e) state or its
-        # checkpoint (which would double-ingest after a crash); the nonce
-        # lets close drop stashes from discarded pre-launches
-        acked = call_hosts("ingest", items, wm, epoch, nonce, wait=False)
+        # checkpoint (which would double-ingest after a crash)
+        acked = call_hosts("ingest", items, wm, epoch, wait=False)
         for p in all_parts:
             if payload_root is not None:
                 keep = np.flatnonzero(ok & (parts == p))
@@ -614,14 +612,10 @@ class _Router:
                     self._pbytes += heavy.nbytes
         if self._pbytes >= self.flush_bytes:
             self.frag_jsons.extend(self.flush().values())
-        t2 = _time.perf_counter()
-        acks = acked()[n_funnel:]
-        t3 = _time.perf_counter()
         return [
             {"source": kind, "partition": int(p), "n": a["n"],
-             "late": a["late"], "max_ts": a["max_ts"], "decode_s": t1 - t0,
-             "send_s": t2 - t1, "ack_wait_s": t3 - t2}
-            for p, a in zip(all_parts, acks)
+             "late": a["late"], "max_ts": a["max_ts"]}
+            for p, a in zip(all_parts, acked()[n_funnel:])
         ]
 
 
@@ -1027,11 +1021,12 @@ class ReplicatePipeline:
         # (one handle per slot, so hosts repeat across the three lists)
         self.actors = []
         self.frontiers: dict[str, int] = {}
-        self._nonce_counter = 0
-        self._nonces: dict[int, int] = {}
         # sticky hot-key state (persisted in the main sink's commit)
         self._hot: set[str] = set()
-        self._hot_copied: dict[str, int] = {}
+        # hot keys whose home-buffered updates reached their salt
+        # partitions, and the hot set each epoch's routed launch used
+        self._hot_copied: set[str] = set()
+        self._routed_hot: dict[int, frozenset] = {}
         self._key_counts: dict[str, int] = {}
         self._total_clips = 0
         self._hot_metrics: dict[str, int] = {}
@@ -1122,6 +1117,11 @@ class ReplicatePipeline:
         epoch e's watermark is known and overlap e's close/checkpoint/
         commit.  Actors stash e+1 rows and apply them at close(e+1), so
         state transitions stay epoch-atomic and replay-deterministic.
+
+        Each epoch is launched once: its source slice is fixed when it is
+        first launched (the pre-launch included), and versions that land
+        after that go to the next epoch.  No pre-launch is made past the
+        last epoch ``max_epochs`` allows.
         """
         import ray
 
@@ -1180,7 +1180,9 @@ class ReplicatePipeline:
                 k: int(v) for k, v in state.get("frontiers", {}).items()
             }
             self._hot = set(state.get("hot_keys", []))
-            self._hot_copied = {}  # resume re-copies hot buffers (idempotent)
+            # resume re-copies hot buffers (idempotent)
+            self._hot_copied = set()
+            self._routed_hot = {}
             self._key_counts = {k: int(c) for k, c in state.get("hot_key_counts", [])}
             self._total_clips = int(state.get("total_clips", 0))
             self._hot_metrics = {
@@ -1192,69 +1194,40 @@ class ReplicatePipeline:
             flushed = bool(state.get("flushed", False))
             metrics: dict = {}
             n_epochs = 0
-            pre: tuple | None = None  # (epoch, refs, cv, uv)
-            while True:
-                if max_epochs is not None and n_epochs >= max_epochs:
-                    break
-                cv, uv, has_data = self._next_slice(clips_v, updates_v)
-                if not has_data:
-                    if flushed:
-                        break
-                    metrics = self._finish_epoch(
-                        epoch, [], [], clips_v, clips_v, updates_v, updates_v,
-                        wm, WATERMARK_MAX, flush=True,
-                    )
-                    flushed = True
-                    epoch += 1
-                    n_epochs += 1
-                    break
-                if pre is not None and pre[0] == epoch and pre[2:] == (cv, uv):
-                    refs = pre[1]
+            # the pre-launched next epoch: (launched, clips_to, updates_to)
+            pre: tuple | None = None
+            while max_epochs is None or n_epochs < max_epochs:
+                if pre is not None:
+                    # its slice was fixed at launch; what landed since
+                    # goes to the epoch after it
+                    launched, cv, uv = pre
+                    pre = None
                 else:
-                    if pre is not None and pre[1][0] in ("refs", "dedup"):
-                        # discarded pre-launch: cancel what hasn't run; any
-                        # stash it already made carries a dead nonce and is
-                        # dropped at close/resolve (never double-applied)
-                        stale = (
-                            pre[1][1] if pre[1][0] == "refs" else pre[1][1][0]
-                        )
-                        for r in stale:
-                            ray.cancel(r, force=False, recursive=False)
-                    refs = self._launch_ingest(epoch, clips_v, cv, updates_v, uv, wm)
-                pre = None
-                import time as _time
-
-                _t0 = _time.perf_counter()
-                acks, pay_frags = self._collect_acks(refs, epoch)
-                if os.environ.get("HYDRA_DEBUG_TIMING"):
-                    import sys as _sys
-
-                    print(
-                        f"[epoch {epoch}] ingest_wall={_time.perf_counter() - _t0:.2f}s",
-                        file=_sys.stderr,
-                    )
+                    cv, uv, has_data = self._next_slice(clips_v, updates_v)
+                    if not has_data:
+                        if not flushed:
+                            metrics = self._finish_epoch(
+                                epoch, [], [], clips_v, clips_v, updates_v,
+                                updates_v, wm, WATERMARK_MAX, flush=True,
+                            )
+                            flushed = True
+                            epoch += 1
+                            n_epochs += 1
+                        break
+                    launched = self._launch_ingest(
+                        epoch, clips_v, cv, updates_v, uv, wm)
+                acks, pay_frags = self._collect_acks(launched)
                 wm_new = self._advance_watermark(wm, acks)
-                # pipeline: overlap the NEXT epoch's ingest with this close
-                ncv, nuv, nhas = self._next_slice(cv, uv)
-                if nhas:
-                    pre = (
-                        epoch + 1,
-                        self._launch_ingest(epoch + 1, cv, ncv, uv, nuv, wm_new),
-                        ncv,
-                        nuv,
-                    )
-                _t1 = _time.perf_counter()
+                # pipeline: overlap the NEXT epoch's ingest with this
+                # close, unless max_epochs ends the run at this epoch
+                if max_epochs is None or n_epochs + 1 < max_epochs:
+                    ncv, nuv, nhas = self._next_slice(cv, uv)
+                    if nhas:
+                        pre = (self._launch_ingest(
+                            epoch + 1, cv, ncv, uv, nuv, wm_new), ncv, nuv)
                 metrics = self._finish_epoch(
                     epoch, acks, pay_frags, clips_v, cv, updates_v, uv, wm, wm_new
                 )
-                if os.environ.get("HYDRA_DEBUG_TIMING"):
-                    import sys as _sys
-
-                    print(
-                        f"[epoch {epoch}] finish_wall="
-                        f"{_time.perf_counter() - _t1:.2f}s",
-                        file=_sys.stderr,
-                    )
                 wm = metrics["__watermark"]
                 clips_v, updates_v = cv, uv
                 flushed = False
@@ -1288,56 +1261,35 @@ class ReplicatePipeline:
         updates_to: int,
         wm_prev: int,
     ):
-        """Fire the epoch's ingest tasks (non-blocking).
-
-        Each launch gets a fresh nonce, recorded as the authoritative one
-        for its epoch; if a pre-launched slice is discarded (source grew
-        between pre-launch and the real slice computation), its stale
-        stashes carry a dead nonce and close_epoch ignores them.
-        """
+        """Fire the epoch's ingest tasks (non-blocking) over the fixed
+        slice ``(clips_from, clips_to] × (updates_from, updates_to]``."""
         cfg = self.cfg
-        self._nonce_counter += 1
-        nonce = self._nonce_counter
-        self._nonces[epoch] = nonce
-        hot = frozenset(self._hot) if cfg.hot_key_threshold else frozenset()
-        if hot:
-            # ship already-buffered updates of newly-hot keys to their salt
-            # partitions (stashed under this launch's nonce; idempotent —
-            # duplicate copies collapse in the max-(ts, rev) join/view)
-            newly = sorted(
-                k for k in hot
-                if self._hot_copied.get(k, epoch) == epoch
-            )
-            if newly:
-                self._copy_hot_buffers(newly, epoch, nonce)
-                for k in newly:
-                    self._hot_copied[k] = epoch
         if (cfg.dedup or cfg.neardup) and clips_to > clips_from:
             # two-phase: the column-pruned hash pass and/or the decode+
             # fingerprint pass run first (they can pre-launch and overlap
             # the previous epoch's close); the routed ingest launches
             # after resolve with the merged drop set
             refs = (
-                self._launch_hash_pass(epoch, clips_from, clips_to, nonce)
+                self._launch_hash_pass(epoch, clips_from, clips_to)
                 if cfg.dedup
                 else []
             )
             refs += (
-                self._launch_fp_pass(epoch, clips_from, clips_to, nonce)
+                self._launch_fp_pass(epoch, clips_from, clips_to)
                 if cfg.neardup
                 else []
             )
             return (
                 "dedup",
-                (refs, epoch, nonce, clips_from, clips_to,
+                (refs, epoch, clips_from, clips_to,
                  updates_from, updates_to, wm_prev),
             )
         return self._launch_routed(
             epoch, clips_from, clips_to, updates_from, updates_to,
-            wm_prev, nonce, None,
+            wm_prev, None,
         )
 
-    def _launch_hash_pass(self, epoch, clips_from, clips_to, nonce):
+    def _launch_hash_pass(self, epoch, clips_from, clips_to):
         from ..state.dedup_index import hash_pass_task
 
         task = hash_pass_task()
@@ -1345,12 +1297,12 @@ class ReplicatePipeline:
         return [
             task.remote(
                 self.clips.fragment_paths([f]), self.dedup_shards,
-                epoch, nonce, cols,
+                epoch, cols,
             )
             for f in self.clips.read_fragments(clips_from, clips_to)
         ]
 
-    def _launch_fp_pass(self, epoch, clips_from, clips_to, nonce):
+    def _launch_fp_pass(self, epoch, clips_from, clips_to):
         from ..state.neardup_index import fp_pass_task
 
         task = fp_pass_task()
@@ -1364,7 +1316,7 @@ class ReplicatePipeline:
                 refs.append(
                     task.remote(
                         self.clips.fragment_paths([f]), self.neardup_shards,
-                        epoch, nonce, self.cfg.neardup_bands,
+                        epoch, self.cfg.neardup_bands,
                         row_lo=p * step, row_cnt=step,
                         signature=self.cfg.neardup_signature,
                     )
@@ -1373,12 +1325,15 @@ class ReplicatePipeline:
 
     def _launch_routed(
         self, epoch, clips_from, clips_to, updates_from, updates_to,
-        wm_prev, nonce, drop,
+        wm_prev, drop,
     ):
         import ray
 
         cfg = self.cfg
         hot = frozenset(self._hot) if cfg.hot_key_threshold else frozenset()
+        # _finish_epoch(epoch) copies the home buffers of keys this
+        # launch newly salts
+        self._routed_hot[epoch] = hot
         clips_route = _Router(
             self.actors, "clips", wm_prev, "clip_id", cfg.num_partitions,
             # keep_bytes enables passthrough payload staging (stage the
@@ -1399,7 +1354,6 @@ class ReplicatePipeline:
             ),
             payload_root=self.sink["payload"].uri,
             epoch=epoch,
-            nonce=nonce,
             hot_keys=hot,
             n_salts=cfg.n_salts,
             drop=drop,
@@ -1414,7 +1368,6 @@ class ReplicatePipeline:
         updates_route = _Router(
             self.actors, "updates", wm_prev, "clip_id", cfg.num_partitions,
             epoch=epoch,
-            nonce=nonce,
             hot_keys=hot,
             n_salts=cfg.n_salts,
         )
@@ -1442,10 +1395,10 @@ class ReplicatePipeline:
                 )
         return ("refs", refs)
 
-    def _copy_hot_buffers(self, keys: list[str], epoch: int, nonce: int):
+    def _copy_hot_buffers(self, keys: list[str], epoch: int):
         """Fan a newly-hot key's buffered update revisions from its home
         partition to its salt partitions, as replica ingests stashed for
-        ``epoch`` under this launch's nonce."""
+        ``epoch``."""
         P = self.cfg.num_partitions
         keys_np = np.asarray(keys, dtype=object)
         homes = partition_for(keys_np, P)
@@ -1479,9 +1432,9 @@ class ReplicatePipeline:
                     }
                 )
                 items.append((self.actors[p], (("p", p), "updates", tbl)))
-        call_hosts("ingest", items, -(1 << 62), epoch, nonce)
+        call_hosts("ingest", items, -(1 << 62), epoch)
 
-    def _collect_acks(self, launched, epoch: int) -> tuple[list, list]:
+    def _collect_acks(self, launched) -> tuple[list, list]:
         """→ (ack dicts, payload fragment json strings)."""
         import ray
 
@@ -1491,12 +1444,12 @@ class ReplicatePipeline:
         if kind == "dedup":
             # phase 2: hash/fingerprint passes done → resolve drop sets →
             # routed ingest with their union
-            refs, ep, nonce, cf, ct, uf, ut, wm_prev = payload
+            refs, ep, cf, ct, uf, ut, wm_prev = payload
             ray.get(refs)
             drop_parts = []
             if self.dedup_shards:
                 resolved = call_hosts("resolve", self._slots("d"), ep,
-                                      dict(self._nonces), wm_prev)
+                                      wm_prev)
                 drop_parts += [r[0] for r in resolved if len(r[0])]
                 dropped = int(sum(st["dropped"] for _, st in resolved))
                 new_hashes = int(sum(st["new"] for _, st in resolved))
@@ -1515,9 +1468,9 @@ class ReplicatePipeline:
                 )
 
                 kept, ndrop = resolve_near_epoch(
-                    self._slots("n"), ep, dict(self._nonces),
-                    self.cfg.neardup_bands, neardup_threshold(self.cfg),
-                    wm_prev, neardup_metric(self.cfg),
+                    self._slots("n"), ep, self.cfg.neardup_bands,
+                    neardup_threshold(self.cfg), wm_prev,
+                    neardup_metric(self.cfg),
                 )
                 if len(ndrop):
                     drop_parts.append(ndrop)
@@ -1531,26 +1484,11 @@ class ReplicatePipeline:
             drop = (
                 np.unique(np.concatenate(drop_parts)) if drop_parts else None
             )
-            launched = self._launch_routed(ep, cf, ct, uf, ut, wm_prev, nonce, drop)
-            return self._collect_acks(launched, ep)
+            return self._collect_acks(
+                self._launch_routed(ep, cf, ct, uf, ut, wm_prev, drop))
         for chunk in ray.get(payload):
             acks.extend(chunk["acks"])
             frags.extend(chunk["frags"])
-        if acks and os.environ.get("HYDRA_DEBUG_TIMING"):
-            import sys as _sys
-
-            tasks = {}
-            for a in acks:
-                key = (a["source"], a["decode_s"], a["send_s"], a["ack_wait_s"])
-                tasks[key] = tasks.get(key, 0) + 1
-            dec = sum(k[1] for k in tasks)
-            snd = sum(k[2] for k in tasks)
-            ackw = sum(k[3] for k in tasks)
-            print(
-                f"[epoch {epoch}] tasks={len(tasks)} decode={dec:.2f}s "
-                f"send={snd:.2f}s ack_wait={ackw:.2f}s (summed across tasks)",
-                file=_sys.stderr,
-            )
         return acks, frags
 
     def _finish_epoch(
@@ -1566,11 +1504,6 @@ class ReplicatePipeline:
         wm: int,
         flush: bool = False,
     ) -> dict:
-        import time as _time
-
-        _debug = os.environ.get("HYDRA_DEBUG_TIMING")
-        _t = _time.perf_counter
-        _marks = [("start", _t())]
         cfg = self.cfg
         max_ts = max(
             self.frontiers.values(), default=wm_prev + cfg.allowed_lateness_ms
@@ -1580,16 +1513,23 @@ class ReplicatePipeline:
             raise CrashPoint(f"injected crash before close of epoch {epoch}")
 
         # -- 4. close → staged fragments ------------------------------------
+        # keys this epoch's routed launch salts for the first time: their
+        # updates of earlier epochs went home only, and all of them are
+        # applied there now (closed), so copy them to the salt partitions
+        # in time for close(epoch); idempotent — duplicate copies
+        # collapse in the max-(ts, rev) join/view
+        newly = sorted(self._routed_hot.pop(epoch, frozenset())
+                       - self._hot_copied)
+        if newly:
+            self._copy_hot_buffers(newly, epoch)
+            self._hot_copied.update(newly)
         hot_list = sorted(self._hot) if cfg.hot_key_threshold else None
-        results = call_hosts("close", self._slots("p"), epoch, wm,
-                             self._nonces, hot_list)
-        self._nonces = {e: x for e, x in self._nonces.items() if e > epoch}
+        results = call_hosts("close", self._slots("p"), epoch, wm, hot_list)
         # merge hot-key partials across salt partitions (driver-side: the
         # row count is bounded by hot keys × windows closed this epoch),
         # stage the merged fragments, and hand still-open merged sessions
         # back to each key's home partition BEFORE the checkpoint
         hot_staged = self._process_hot(results, epoch, wm)
-        _marks.append(("close", _t()))
 
         if cfg.crash_at == (epoch, "after_prepare"):
             raise CrashPoint(f"injected crash after prepare of epoch {epoch}")
@@ -1597,7 +1537,6 @@ class ReplicatePipeline:
         # -- 5. checkpoint (full every K epochs, deltas between) ------------
         full = (epoch % max(cfg.full_checkpoint_every, 1)) == 0
         call_hosts("checkpoint", self._slots("p", "d", "n"), epoch, wm, full)
-        _marks.append(("checkpoint", _t()))
 
         # -- 6. commit (aux first, main last = source of truth) -------------
         staged: dict[str, list[FragmentMeta]] = {s: [] for s in self.SINKS}
@@ -1682,16 +1621,6 @@ class ReplicatePipeline:
                 "num_partitions": cfg.num_partitions,
             },
         )
-        _marks.append(("commit", _t()))
-        if _debug:
-            import sys as _sys
-
-            spans = ", ".join(
-                f"{name}={_marks[i+1][1]-_marks[i][1]:.2f}s"
-                for i, (name, _) in enumerate(_marks[1:], 0)
-                for name in [_marks[i + 1][0]]
-            )
-            print(f"[epoch {epoch}] {spans}", file=_sys.stderr)
         merged["__watermark"] = wm if wm < WATERMARK_MAX else max_ts
         # maintenance: micro-batch epochs leave one tiny fragment per
         # (sink, partition, epoch); periodic bin-pack keeps long-horizon

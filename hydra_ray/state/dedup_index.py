@@ -17,10 +17,9 @@ routing independent):
 1. HASH PASS — one raw task per source fragment reads ONLY
    ``(seq, content cols)`` (parquet column pruning, no decode), hashes
    rows vectorized, and ships ``(hash, seq)`` slices to their shards
-   (one ``submit`` RPC per host), which STASH them under
-   ``(epoch, nonce)``.
-2. ``resolve(epoch, nonces)`` — each shard folds the authoritative
-   stashes and decides per hash: the winner is the **min-seq** row;
+   (one ``submit`` RPC per host), which STASH them under the epoch.
+2. ``resolve(epoch)`` — each shard folds the stashed entries of every
+   epoch ≤ this one and decides per hash: the winner is the **min-seq** row;
    every seq whose hash is already in the committed seen set drops, and
    every non-winner seq of a new hash drops.  New winners fold into the
    in-memory seen set.  The decision depends only on (seen set as of the
@@ -82,8 +81,8 @@ def in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class DedupIndexState:
-    """One shard's seen-set + per-epoch stash (plain object; its state
-    host adds checkpoint I/O).
+    """One shard's seen-set (plain object; its state host adds the
+    per-epoch stash and checkpoint I/O).
 
     ``retention_ms`` bounds the state for endless streams: an entry whose
     FIRST-SEEN event time falls below ``watermark − retention_ms`` evicts
@@ -100,7 +99,6 @@ class DedupIndexState:
         # sorted uint64 hash runs, disjoint, each with aligned FIRST-SEEN
         # event-time ms (only consulted when retention is on)
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
-        self.pending: dict[int, list] = {}        # epoch -> [(nonce, h, s, ts)]
         self._delta_new: list[tuple[np.ndarray, np.ndarray]] = []
         self.metrics: dict[str, int] = {
             "dedup_dropped": 0, "dedup_new": 0, "dedup_evicted": 0,
@@ -117,15 +115,6 @@ class DedupIndexState:
         return sum(len(r) for r, _ in self.runs)
 
     # ------------------------------------------------------------ protocol
-    def submit(self, hashes: np.ndarray, seqs: np.ndarray, epoch: int,
-               nonce: int, ts: np.ndarray | None = None):
-        h = np.asarray(hashes, np.uint64)
-        self.pending.setdefault(epoch, []).append(
-            (nonce, h, np.asarray(seqs, np.int64),
-             np.zeros(len(h), np.int64) if ts is None
-             else np.asarray(ts, np.int64))
-        )
-
     def _evict(self, wm: int):
         if not self.retention_ms:
             return
@@ -142,25 +131,21 @@ class DedupIndexState:
         self.runs = kept
         self.metrics["dedup_evicted"] += evicted
 
-    def resolve(self, epoch: int, nonces: dict | None,
+    def resolve(self, epoch: int, entries: list,
                 wm: int | None = None) -> tuple[np.ndarray, dict]:
-        """Fold stashes ≤ epoch (authoritative nonce only) → (sorted seqs
-        to DROP, stats).  Folds this epoch's new winner hashes into the
-        seen set (durable at the next checkpoint); with retention on,
-        entries below ``wm − retention_ms`` evict FIRST."""
+        """Fold epoch ``epoch``'s ``(hashes, seqs, ts | None)`` entries →
+        (sorted seqs to DROP, stats).  Folds this epoch's new winner
+        hashes into the seen set (durable at the next checkpoint); with
+        retention on, entries below ``wm − retention_ms`` evict FIRST."""
         if wm is not None:
             self._evict(int(wm))
-        parts = []
-        for e in sorted(k for k in self.pending if k <= epoch):
-            for nonce, h, s, ts in self.pending.pop(e):
-                if nonces is not None and nonces.get(e, nonce) != nonce:
-                    continue
-                parts.append((h, s, ts))
-        if not parts:
+        if not entries:
             return np.empty(0, np.int64), {"dropped": 0, "new": 0}
-        h = np.concatenate([p[0] for p in parts])
-        s = np.concatenate([p[1] for p in parts])
-        t = np.concatenate([p[2] for p in parts])
+        h = np.concatenate([np.asarray(e[0], np.uint64) for e in entries])
+        s = np.concatenate([np.asarray(e[1], np.int64) for e in entries])
+        t = np.concatenate([np.zeros(len(e[0]), np.int64) if e[2] is None
+                            else np.asarray(e[2], np.int64)
+                            for e in entries])
         order = np.lexsort((s, h))                 # by hash, then seq asc
         hs, ss, tss = h[order], s[order], t[order]
         first = np.ones(len(hs), dtype=bool)
@@ -229,7 +214,6 @@ class DedupIndexState:
         if len(self.runs) > _MAX_RUNS:
             self._compact()
         self.metrics = dict(meta["metrics"])
-        self.pending.clear()      # un-resolved stashes replay from source
         self._delta_new = []
 
 
@@ -240,14 +224,14 @@ def hash_pass_task():
     """Lazy raw-task: read (seq, content cols) from one fragment file —
     column-pruned, no decode — hash, ship per-shard slices to the hosts
     in ``shards`` (the host of each shard; one ``submit`` per host).
-    ``max_retries=0``: the epoch-level retry owns failures; a relaunched
-    pass carries a fresh nonce so stale stashes are dropped at resolve."""
+    ``max_retries=0``: the epoch-level retry (driver resume, which clears
+    the hosts' stashes) owns failures."""
     global _HASH_TASK
     if _HASH_TASK is None:
         import ray
 
         @ray.remote(max_retries=0)
-        def hash_fragment(paths, shards, epoch, nonce, cols, seq_col="seq",
+        def hash_fragment(paths, shards, epoch, cols, seq_col="seq",
                           ts_col="event_ts"):
             import pyarrow.parquet as pq
 
@@ -269,7 +253,7 @@ def hash_pass_task():
                     parts.append(
                         (shards[d], (("d", int(d)), (h[m], s[m]), ts[m])))
                 n += t.num_rows
-            call_hosts("submit", parts, epoch, nonce)
+            call_hosts("submit", parts, epoch)
             return n
 
         _HASH_TASK = hash_fragment

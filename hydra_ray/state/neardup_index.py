@@ -18,18 +18,18 @@ committed index is LSM-ish: sorted-by-key runs of ``(key: uint32,
 fp: uint64)`` pairs; a lookup is two ``searchsorted`` calls per run plus
 one vectorized XOR+popcount over the gathered same-key candidates.
 
-Epoch protocol (same stash/nonce/replay discipline as the exact tier —
+Epoch protocol (same stash/replay discipline as the exact tier —
 decisions are arrival-order AND routing independent):
 
 1. FINGERPRINT PASS — one raw task per source fragment reads ONLY
    ``(seq, bytes, codec, sr_hz)``, decodes, fingerprints (both
    vectorized), and ships band-entry slices ``(key, fp, seq)`` to their
    shards (slots of the ``store.StateHost`` actors; one ``submit`` RPC
-   per host), which STASH them under ``(epoch, nonce)``.  Rows that fail
+   per host), which STASH them under the epoch.  Rows that fail
    decode get no fingerprint and are never near-dup-dropped (they DLQ at
    ingest like always).
-2. ``resolve(epoch, nonces)`` — each shard probes its authoritative
-   stash entries against the COMMITTED index only and returns
+2. ``resolve(epoch)`` — each shard probes its stash entries of every
+   epoch ≤ this one against the COMMITTED index only and returns
    ``(seq, fp, matched)`` per entry (stash stays put).  The driver ORs
    entry verdicts per row: any committed match ⇒ definite drop.
 3. The driver then runs the INTRA-epoch pass over the surviving rows in
@@ -133,7 +133,8 @@ def greedy_keep(seqs: np.ndarray, fps: np.ndarray, n_bands: int,
 
 
 class NearDupIndexState:
-    """One shard's committed band index + per-epoch stash."""
+    """One shard's committed band index (its state host keeps the
+    per-epoch stash)."""
 
     def __init__(self, shard: int, max_hamming: int = 3,
                  retention_ms: int = 0, metric: str = "bits"):
@@ -148,7 +149,6 @@ class NearDupIndexState:
         self.retention_ms = int(retention_ms)
         # (keys↑, fps, first-seen ts) — ts only consulted when retention on
         self.runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.pending: dict[int, list] = {}   # epoch -> [(nonce, k, f, s, t)]
         self._delta_new: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.metrics: dict[str, int] = {"neardup_new": 0,
                                         "neardup_evicted": 0}
@@ -177,22 +177,18 @@ class NearDupIndexState:
         return sum(len(k) for k, _, _ in self.runs)
 
     # ------------------------------------------------------------ protocol
-    def submit(self, keys, fps, seqs, epoch: int, nonce: int,
-               ts=None):
-        k = np.asarray(keys, np.uint32)
-        self.pending.setdefault(epoch, []).append(
-            (nonce, k, np.asarray(fps, np.uint64),
-             np.asarray(seqs, np.int64),
-             np.zeros(len(k), np.int64) if ts is None
-             else np.asarray(ts, np.int64))
+    @staticmethod
+    def _arrays(entries: list):
+        """``(keys, fps, seqs, ts | None)`` entries → one typed array per
+        field (ts 0 where absent)."""
+        return (
+            np.concatenate([np.asarray(e[0], np.uint32) for e in entries]),
+            np.concatenate([np.asarray(e[1], np.uint64) for e in entries]),
+            np.concatenate([np.asarray(e[2], np.int64) for e in entries]),
+            np.concatenate([np.zeros(len(e[0]), np.int64) if e[3] is None
+                            else np.asarray(e[3], np.int64)
+                            for e in entries]),
         )
-
-    def _authoritative(self, epoch: int, nonces: dict | None):
-        for e in sorted(k for k in self.pending if k <= epoch):
-            for nonce, k, f, s, t in self.pending[e]:
-                if nonces is not None and nonces.get(e, nonce) != nonce:
-                    continue
-                yield k, f, s, t
 
     def _evict(self, wm: int):
         if not self.retention_ms:
@@ -210,41 +206,30 @@ class NearDupIndexState:
         self.runs = kept
         self.metrics["neardup_evicted"] += evicted
 
-    def resolve(self, epoch: int, nonces: dict | None, wm=None):
-        """→ (seqs, fps, matched-vs-committed) over authoritative stash
-        entries (stash kept until ``commit``); with retention on, index
+    def resolve(self, epoch: int, entries: list, wm=None):
+        """Epoch ``epoch``'s ``(keys, fps, seqs, ts | None)`` entries →
+        (seqs, fps, matched-vs-committed) per entry; with retention on, index
         entries below ``wm − retention_ms`` evict FIRST."""
         if wm is not None:
             self._evict(int(wm))
-        parts = list(self._authoritative(epoch, nonces))
-        if not parts:
+        if not entries:
             z = np.empty(0, np.int64)
             return z, np.empty(0, np.uint64), np.zeros(0, bool)
-        k = np.concatenate([p[0] for p in parts])
-        f = np.concatenate([p[1] for p in parts])
-        s = np.concatenate([p[2] for p in parts])
+        k, f, s, _ = self._arrays(entries)
         return s, f, self.matched(k, f)
 
-    def commit(self, epoch: int, kept_seqs: np.ndarray, nonces: dict | None):
-        """Fold authoritative stash entries of kept rows into the
-        committed runs; clear the stash ≤ epoch."""
+    def commit(self, epoch: int, entries: list, kept_seqs: np.ndarray):
+        """Fold epoch ``epoch``'s entries of kept rows into the committed
+        runs."""
         from .dedup_index import in_sorted
 
-        kept_seqs = np.asarray(kept_seqs, np.int64)
-        ks, fs, tts = [], [], []
-        for k, f, s, t in self._authoritative(epoch, nonces):
-            m = in_sorted(kept_seqs, s)
-            if m.any():
-                ks.append(k[m])
-                fs.append(f[m])
-                tts.append(t[m])
-        for e in [e for e in self.pending if e <= epoch]:
-            del self.pending[e]
-        if not ks:
+        if not entries:
             return 0
-        k = np.concatenate(ks)
-        f = np.concatenate(fs)
-        t = np.concatenate(tts)
+        k, f, s, t = self._arrays(entries)
+        m = in_sorted(np.asarray(kept_seqs, np.int64), s)
+        if not m.any():
+            return 0
+        k, f, t = k[m], f[m], t[m]
         order = np.argsort(k, kind="stable")
         run = (k[order], f[order], t[order])
         self.runs.append(run)
@@ -305,7 +290,6 @@ class NearDupIndexState:
         if len(self.runs) > _MAX_RUNS:
             self._compact()
         self.metrics = dict(meta["metrics"])
-        self.pending.clear()      # un-committed stashes replay from source
         self._delta_new = []
 
 
@@ -323,7 +307,7 @@ def neardup_threshold(cfg) -> int:
     return cfg.neardup_max_hamming
 
 
-def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
+def resolve_near_epoch(shards, epoch: int,
                        n_bands: int, max_hamming: int, wm=None,
                        metric: str = "bits"):
     """Driver-side epoch resolve: gather per-entry verdicts from every
@@ -337,10 +321,10 @@ def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
     """
     from .store import call_hosts
 
-    res = call_hosts("resolve", shards, epoch, nonces, wm)
+    res = call_hosts("resolve", shards, epoch, wm)
     if not any(len(r[0]) for r in res):
         z = np.empty(0, np.int64)
-        call_hosts("commit", shards, epoch, z, nonces)
+        call_hosts("commit", shards, epoch, z)
         return z, z
     seqs = np.concatenate([r[0] for r in res])
     fps = np.concatenate([r[1] for r in res])
@@ -355,7 +339,7 @@ def resolve_near_epoch(shards, epoch: int, nonces: dict | None,
     clean = ~row_matched
     kept = greedy_keep(gs[clean], gf[clean], n_bands, max_hamming, metric)
     drop = np.setdiff1d(gs, kept, assume_unique=True)
-    call_hosts("commit", shards, epoch, kept, nonces)
+    call_hosts("commit", shards, epoch, kept)
     return kept, drop
 
 
@@ -366,14 +350,14 @@ def fp_pass_task():
     """Lazy raw-task: read ``(seq, bytes, codec, sr_hz)`` from fragment
     files, decode + fingerprint (vectorized), ship band entries to the
     hosts in ``shards`` (the host of each shard; one ``submit`` per
-    host).  ``max_retries=0``: the epoch-level retry owns failures; a
-    relaunch carries a fresh nonce so stale stashes drop at resolve."""
+    host).  ``max_retries=0``: the epoch-level retry (driver resume,
+    which clears the hosts' stashes) owns failures."""
     global _FP_TASK
     if _FP_TASK is None:
         import ray
 
         @ray.remote(max_retries=0)
-        def fp_fragment(paths, shards, epoch, nonce, n_bands, seq_col="seq",
+        def fp_fragment(paths, shards, epoch, n_bands, seq_col="seq",
                         row_lo: int = 0, row_cnt: int | None = None,
                         signature: str = "audio_fp"):
             import pyarrow.parquet as pq
@@ -428,7 +412,7 @@ def fp_pass_task():
                         seqs = t[seq_col].to_numpy()
                     ship(band_entries(fps, n_bands), fps, seqs, row_ts)
                     n += t.num_rows
-                call_hosts("submit", parts, epoch, nonce)
+                call_hosts("submit", parts, epoch)
                 return n
 
             # decode+fingerprint in SMALL row chunks: the kernels run over
@@ -472,7 +456,7 @@ def fp_pass_task():
                 ship(band_entries(fps, n_bands), fps,
                      np.concatenate(seq_parts), np.concatenate(ts_parts))
                 n += t.num_rows
-            call_hosts("submit", parts, epoch, nonce)
+            call_hosts("submit", parts, epoch)
             return n
 
         _FP_TASK = fp_fragment

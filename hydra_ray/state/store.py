@@ -1625,16 +1625,16 @@ class StateHost:
         self.sinks: dict = {}
         self.state: dict = {}
         self.ckpt: dict = {}
-        # partition slots' epoch-tagged ingest stash, APPLIED at close:
-        # epoch e+1's ingest may overlap e's close/checkpoint/commit
-        # without interleaving state mutations (every state op is
+        # every slot's epoch-tagged stash (partition ingests, shard index
+        # entries), applied when its epoch closes or resolves: epoch e+1's
+        # ingest may overlap e's close/checkpoint/commit without
+        # interleaving state mutations (every state op is
         # order-independent within an epoch)
-        self.stash: dict = {}
+        self.stash: dict = {slot: {} for slot in slots}
         for slot in slots:
             kind, i = slot
             if kind == "p":
                 st = PartitionState(i, cfg)
-                self.stash[slot] = {}
                 self.sinks[slot] = {name: Table(root)
                                     for name, root in sink_roots.items()}
             elif kind == "d":
@@ -1655,36 +1655,31 @@ class StateHost:
         # store, serial closes double the epoch time)
         return list((self._pool.map if len(slots) > 1 else map)(fn, slots))
 
+    def _stashed(self, slot, epoch: int, pop: bool = True) -> list:
+        """``slot``'s stash entries of every epoch ≤ ``epoch``, oldest
+        epoch first; ``pop`` removes them."""
+        stash = self.stash[slot]
+        return [x for e in sorted(k for k in stash if k <= epoch)
+                for x in (stash.pop(e) if pop else stash[e])]
+
     # ------------------------------------------------------- partitions
-    def ingest(self, parts: list, wm: int, epoch: int = 0,
-               nonce: int = 0) -> list[dict]:
-        """Stash ``(slot, kind, table)`` slices for ``close(epoch)``;
-        ``nonce`` names the driver launch that sent them."""
+    def ingest(self, parts: list, wm: int, epoch: int = 0) -> list[dict]:
+        """Stash ``(slot, kind, table)`` slices for ``close(epoch)``."""
         for slot, kind, table in parts:
-            self.stash[slot].setdefault(epoch, []).append(
-                (nonce, kind, table, wm))
+            self.stash[slot].setdefault(epoch, []).append((kind, table, wm))
         return [_classify(kind, table, wm) for _, kind, table in parts]
 
     def close(self, slots: list, epoch: int, wm: int,
-              nonces: dict | None = None,
               hot_keys: list | None = None) -> list[dict]:
         hot = frozenset(hot_keys) if hot_keys else frozenset()
-        return self._each(
-            lambda s: self._close(s, epoch, wm, nonces, hot), slots)
+        return self._each(lambda s: self._close(s, epoch, wm, hot), slots)
 
-    def _close(self, slot, epoch: int, wm: int, nonces: dict | None,
-               hot: frozenset) -> dict:
-        state, stash = self.state[slot], self.stash[slot]
+    def _close(self, slot, epoch: int, wm: int, hot: frozenset) -> dict:
+        state = self.state[slot]
         apply = {"clips": state.ingest_clips, "funnel": state.ingest_funnel,
                  "updates": state.ingest_updates}
-        # ``nonces`` maps epoch → the launch nonce whose ingests are
-        # authoritative; stale stashes (a pre-launched slice the driver
-        # discarded and re-launched after the source grew) are dropped,
-        # never double-applied.
-        for e in sorted(k for k in stash if k <= epoch):
-            for nonce, kind, table, wm_i in stash.pop(e):
-                if nonces is None or nonces.get(e, nonce) == nonce:
-                    apply[kind](table, wm_i)
+        for kind, table, wm_i in self._stashed(slot, epoch):
+            apply[kind](table, wm_i)
         outputs = state.close_epoch(epoch, wm, hot)
         early = {k: outputs.pop(k, None) for k in (
             "early_touched", "early_touched_sliding")}
@@ -1739,22 +1734,25 @@ class StateHost:
                 for slot, keys in parts]
 
     # ----------------------------------------------------------- shards
-    def submit(self, parts: list, epoch: int, nonce: int) -> list[int]:
+    def submit(self, parts: list, epoch: int) -> list[int]:
         """Stash ``(slot, arrays, ts)`` index entries of a hash or
         fingerprint pass for ``resolve(epoch)``."""
         for slot, arrays, ts in parts:
-            self.state[slot].submit(*arrays, epoch, nonce, ts)
+            self.stash[slot].setdefault(epoch, []).append((*arrays, ts))
         return [len(arrays[0]) for _, arrays, _ in parts]
 
-    def resolve(self, slots: list, epoch: int, nonces: dict | None,
-                wm=None) -> list:
-        return [self.state[s].resolve(epoch, nonces, wm) for s in slots]
+    def resolve(self, slots: list, epoch: int, wm=None) -> list:
+        """Hand each shard its stash entries ≤ ``epoch``: a dedup shard
+        folds them into its seen set; a near-dup shard only probes them,
+        so they stay stashed until ``commit``."""
+        return [self.state[s].resolve(
+            epoch, self._stashed(s, epoch, pop=s[0] == "d"), wm)
+            for s in slots]
 
-    def commit(self, slots: list, epoch: int, kept_seqs,
-               nonces: dict | None) -> list[int]:
+    def commit(self, slots: list, epoch: int, kept_seqs) -> list[int]:
         """Near-dup shards: fold the kept rows' entries into the index."""
-        return [self.state[s].commit(epoch, kept_seqs, nonces)
-                for s in slots]
+        return [self.state[s].commit(epoch, self._stashed(s, epoch),
+                                     kept_seqs) for s in slots]
 
     # -------------------------------------------------------- all slots
     def checkpoint(self, slots: list, epoch: int, wm: int | None = None,
@@ -1778,7 +1776,7 @@ class StateHost:
         returns False."""
         def one(slot):
             st = self.state[slot]
-            (self.stash[slot] if slot[0] == "p" else st.pending).clear()
+            self.stash[slot].clear()
             chain = self.ckpt[slot].restore_chain(epoch)
             if chain is None:
                 if slot[0] == "p":

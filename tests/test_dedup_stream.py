@@ -49,10 +49,10 @@ def test_content_hash_matches_batch_dedup():
     assert h_stream[0] == h_stream[2] and h_stream[0] != h_stream[1]
 
 
-def _submit(st, pairs, epoch, nonce):
+def _entry(pairs):
     h = np.array([p[0] for p in pairs], np.uint64)
     s = np.array([p[1] for p in pairs], np.int64)
-    st.submit(h, s, epoch, nonce)
+    return h, s, None
 
 
 def test_resolve_min_seq_winner_order_independent():
@@ -61,22 +61,16 @@ def test_resolve_min_seq_winner_order_independent():
     for order in ([0, 1], [1, 0]):
         st = DedupIndexState(0)
         stashes = [[(10, 7), (20, 3)], [(10, 2), (20, 9), (30, 5)]]
-        for i in order:
-            _submit(st, stashes[i], epoch=0, nonce=1)
-        drop, stats = st.resolve(0, {0: 1})
+        drop, stats = st.resolve(0, [_entry(stashes[i]) for i in order])
         assert drop.tolist() == [7, 9]  # seq 2 wins hash 10, seq 3 wins hash 20
         assert stats == {"dropped": 2, "new": 3}
 
 
-def test_resolve_cross_epoch_and_stale_nonce():
+def test_resolve_cross_epoch():
     st = DedupIndexState(0)
-    _submit(st, [(10, 0), (20, 1)], epoch=0, nonce=1)
-    drop, _ = st.resolve(0, {0: 1})
+    drop, _ = st.resolve(0, [_entry([(10, 0), (20, 1)])])
     assert drop.tolist() == []
-    # stale stash from a discarded pre-launch (dead nonce) is ignored
-    _submit(st, [(30, 2)], epoch=1, nonce=7)
-    _submit(st, [(10, 3), (30, 4)], epoch=1, nonce=8)
-    drop, stats = st.resolve(1, {0: 1, 1: 8})
+    drop, stats = st.resolve(1, [_entry([(10, 3), (30, 4)])])
     assert drop.tolist() == [3]  # hash 10 seen in epoch 0; hash 30 new via seq 4
     assert stats["new"] == 1
     assert st.seen(np.array([10, 20, 30, 40], np.uint64)).tolist() == [
@@ -89,14 +83,11 @@ def test_resolve_cross_epoch_and_stale_nonce():
 
 def test_checkpoint_full_delta_chain_restore(tmp_path):
     st = DedupIndexState(0)
-    _submit(st, [(10, 0), (20, 1)], 0, 1)
-    st.resolve(0, {0: 1})
+    st.resolve(0, [_entry([(10, 0), (20, 1)])])
     st.save(str(tmp_path / "e0"), full=True)
-    _submit(st, [(30, 2), (10, 3)], 1, 2)
-    st.resolve(1, {1: 2})
+    st.resolve(1, [_entry([(30, 2), (10, 3)])])
     st.save(str(tmp_path / "e1"), full=False)
-    _submit(st, [(40, 4)], 2, 3)
-    st.resolve(2, {2: 3})
+    st.resolve(2, [_entry([(40, 4)])])
     st.save(str(tmp_path / "e2"), full=False)
 
     fresh = DedupIndexState(0)
@@ -117,8 +108,8 @@ def test_compaction_preserves_membership():
     rng = np.random.default_rng(7)
     all_h = rng.choice(10_000, size=600, replace=False).astype(np.uint64)
     for e in range(12):  # > _MAX_RUNS → triggers compaction
-        _submit(st, [(int(h), int(h)) for h in all_h[e * 50 : (e + 1) * 50]], e, e)
-        st.resolve(e, None)
+        st.resolve(e, [_entry(
+            [(int(h), int(h)) for h in all_h[e * 50 : (e + 1) * 50]])])
     assert len(st.runs) <= 9
     assert st.seen(all_h).all()
     assert st.n_hashes() == 600
@@ -260,17 +251,14 @@ def test_retention_evicts_and_readmits():
     wm − retention evicts, identical content re-admits afterwards, and
     within the horizon dedup still drops."""
     st = DedupIndexState(0, retention_ms=1_000)
-    st.submit([10], [0], 0, 1, ts=[100])
-    drop, _ = st.resolve(0, {0: 1}, wm=0)
+    drop, _ = st.resolve(0, [([10], [0], [100])], wm=0)
     assert drop.tolist() == [] and st.n_hashes() == 1
     # within horizon: duplicate drops
-    st.submit([10], [1], 1, 1, ts=[600])
-    drop, _ = st.resolve(1, {1: 1}, wm=500)
+    drop, _ = st.resolve(1, [([10], [1], [600])], wm=500)
     assert drop.tolist() == [1]
     # horizon passes the first-seen anchor (ts=100 < 1300-1000): evicted,
     # the same content re-admits as a fresh first copy
-    st.submit([10], [2], 2, 1, ts=[1400])
-    drop, stats = st.resolve(2, {2: 1}, wm=1300)
+    drop, stats = st.resolve(2, [([10], [2], [1400])], wm=1300)
     assert drop.tolist() == [] and stats["new"] == 1
     assert st.n_hashes() == 1
     assert st.metrics["dedup_evicted"] == 1
@@ -282,11 +270,9 @@ def test_retention_checkpoint_restore_consistent(tmp_path):
     followed by a resolve evicts to the same horizon as the uninterrupted
     state."""
     st = DedupIndexState(0, retention_ms=1_000)
-    st.submit([10, 20], [0, 1], 0, 1, ts=[100, 900])
-    st.resolve(0, {0: 1}, wm=0)
+    st.resolve(0, [([10, 20], [0, 1], [100, 900])], wm=0)
     st.save(str(tmp_path / "e0"), full=True)
-    st.submit([30], [2], 1, 1, ts=[1_200])
-    st.resolve(1, {1: 1}, wm=1_000)
+    st.resolve(1, [([30], [2], [1_200])], wm=1_000)
     st.save(str(tmp_path / "e1"), full=False)
 
     st2 = DedupIndexState(0, retention_ms=1_000)
@@ -294,8 +280,8 @@ def test_retention_checkpoint_restore_consistent(tmp_path):
     # resolve at a horizon that evicts ts=100 but keeps 900/1200 — both
     # the restored and the live state make identical decisions
     for s in (st, st2):
-        s.submit([10, 20, 30], [7, 8, 9], 2, 1, ts=[1_500, 1_500, 1_500])
-        drop, _ = s.resolve(2, {2: 1}, wm=1_400)
+        drop, _ = s.resolve(
+            2, [([10, 20, 30], [7, 8, 9], [1_500, 1_500, 1_500])], wm=1_400)
         assert drop.tolist() == [8, 9], drop  # 10 re-admitted, 20/30 dup
         assert s.n_hashes() == 3
 

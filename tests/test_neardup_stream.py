@@ -60,19 +60,18 @@ def test_state_matched_vs_committed_and_lsm_runs():
     fps = rng.integers(0, 1 << 63, size=50, dtype=np.uint64)
     seqs = np.arange(50, dtype=np.int64)
     keys = band_entries(fps, 4)
-    st.submit(keys, np.repeat(fps, 4), np.repeat(seqs, 4), epoch=0, nonce=1)
-    s, f, m = st.resolve(0, {0: 1})
+    e0 = [(keys, np.repeat(fps, 4), np.repeat(seqs, 4), None)]
+    s, f, m = st.resolve(0, e0)
     assert not m.any()  # empty committed index
-    st.commit(0, seqs, {0: 1})
+    st.commit(0, e0, seqs)
     assert st.n_entries() == 200
     # epoch 1: near-copies of committed rows must match; fresh rows not
     near = fps[:10] ^ np.uint64(0b11)     # ham=2
     fresh = rng.integers(0, 1 << 63, size=10, dtype=np.uint64)
     probe = np.concatenate([near, fresh])
     pseq = np.arange(100, 120, dtype=np.int64)
-    st.submit(band_entries(probe, 4), np.repeat(probe, 4),
-              np.repeat(pseq, 4), epoch=1, nonce=2)
-    s, f, m = st.resolve(1, {0: 1, 1: 2})
+    s, f, m = st.resolve(1, [(band_entries(probe, 4), np.repeat(probe, 4),
+                              np.repeat(pseq, 4), None)])
     per_row = {}
     for seq, hit in zip(s, m):
         per_row[seq] = per_row.get(seq, False) or hit
@@ -80,26 +79,21 @@ def test_state_matched_vs_committed_and_lsm_runs():
         assert per_row[seq]
     for seq in pseq[10:]:
         assert not per_row.get(seq, False)
-    # stale-nonce stashes are ignored
-    st.submit(band_entries(fresh, 4), np.repeat(fresh, 4),
-              np.repeat(pseq[10:], 4), epoch=1, nonce=99)
-    s2, f2, m2 = st.resolve(1, {0: 1, 1: 2})
-    assert len(s2) == len(s)  # the nonce-99 stash did not add entries
 
 
 def test_checkpoint_full_delta_restore(tmp_path):
     rng = np.random.default_rng(2)
     st = NearDupIndexState(0, max_hamming=3)
     fps0 = rng.integers(0, 1 << 63, size=30, dtype=np.uint64)
-    st.submit(band_entries(fps0, 4), np.repeat(fps0, 4),
-              np.repeat(np.arange(30, dtype=np.int64), 4), 0, 1)
-    st.commit(0, np.arange(30, dtype=np.int64), {0: 1})
+    st.commit(0, [(band_entries(fps0, 4), np.repeat(fps0, 4),
+                   np.repeat(np.arange(30, dtype=np.int64), 4), None)],
+              np.arange(30, dtype=np.int64))
     full = str(tmp_path / "e0")
     st.save(full, full=True)
     fps1 = rng.integers(0, 1 << 63, size=20, dtype=np.uint64)
-    st.submit(band_entries(fps1, 4), np.repeat(fps1, 4),
-              np.repeat(np.arange(100, 120, dtype=np.int64), 4), 1, 2)
-    st.commit(1, np.arange(100, 120, dtype=np.int64), {1: 2})
+    st.commit(1, [(band_entries(fps1, 4), np.repeat(fps1, 4),
+                   np.repeat(np.arange(100, 120, dtype=np.int64), 4), None)],
+              np.arange(100, 120, dtype=np.int64))
     delta = str(tmp_path / "e1")
     st.save(delta, full=False)
 
@@ -148,8 +142,8 @@ def test_resolve_near_epoch_shard_count_independence(ray_session, tmp_path):
                 m = sh == d
                 host, slot = shards[d]
                 ray.get(host.submit.remote(
-                    [(slot, (keys[m], ef[m], es[m]), None)], ep, 1))
-            kept, drop = resolve_near_epoch(shards, ep, {0: 1, 1: 1}, 4, 3)
+                    [(slot, (keys[m], ef[m], es[m]), None)], ep))
+            kept, drop = resolve_near_epoch(shards, ep, 4, 3)
             out.append((kept.tolist(), drop.tolist()))
         for h in hosts:
             ray.kill(h)
@@ -496,19 +490,19 @@ def test_neardup_retention_evicts_and_readmits():
         return k, np.repeat(np.array([f], np.uint64), 4)
 
     k, f = entries(fp)
-    st.submit(k, f, np.full(4, 0), 0, 1, ts=np.full(4, 100))
-    s, fps, m = st.resolve(0, {0: 1}, wm=0)
+    e0 = [(k, f, np.full(4, 0), np.full(4, 100))]
+    s, fps, m = st.resolve(0, e0, wm=0)
     assert not m.any()
-    st.commit(0, np.array([0]), {0: 1})
+    st.commit(0, e0, np.array([0]))
     # within horizon: near-copy matches the committed index
     k2, f2 = entries(int(near))
-    st.submit(k2, f2, np.full(4, 1), 1, 1, ts=np.full(4, 500))
-    s, fps, m = st.resolve(1, {1: 1}, wm=400)
+    e1 = [(k2, f2, np.full(4, 1), np.full(4, 500))]
+    s, fps, m = st.resolve(1, e1, wm=400)
     assert m.any()
-    st.commit(1, np.empty(0, np.int64), {1: 1})  # dropped: nothing kept
+    st.commit(1, e1, np.empty(0, np.int64))  # dropped: nothing kept
     # horizon passes the anchor (100 < 1500-1000): evicted → re-admitted
     k3, f3 = entries(int(near))
-    st.submit(k3, f3, np.full(4, 2), 2, 1, ts=np.full(4, 1600))
-    s, fps, m = st.resolve(2, {2: 1}, wm=1500)
+    s, fps, m = st.resolve(2, [(k3, f3, np.full(4, 2), np.full(4, 1600))],
+                           wm=1500)
     assert not m.any()
     assert st.metrics["neardup_evicted"] == 4  # all 4 band entries

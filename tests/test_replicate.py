@@ -341,22 +341,63 @@ def test_epoch_stash_isolation(tmp_path, ray_session):
     ray.kill(host)
 
 
-def test_stale_prelaunch_nonce_dropped(tmp_path, ray_session):
-    """A discarded pre-launched ingest (driver re-launched the epoch with a
-    wider slice) must NOT double-apply: close only applies the stash whose
-    nonce the driver recorded as authoritative."""
-    import ray
+def _count_launches(pipe) -> list:
+    """Record each ``_launch_ingest`` call as (epoch, clips_from, clips_to)."""
+    launches = []
+    launch = pipe._launch_ingest
 
-    host, p0 = _one_partition_host(tmp_path)
-    light = synth_clips_table(6, hot_fraction=0.0).drop_columns(["bytes"])
-    wm = -(1 << 62)
-    # stale pre-launch stashed rows 0-2 under nonce 1, then the driver
-    # re-launched the same epoch (wider slice: rows 0-5) under nonce 2
-    ray.get(host.ingest.remote([(p0, "clips", light.slice(0, 3))], wm, 1, 1))
-    ray.get(host.ingest.remote([(p0, "clips", light.slice(0, 6))], wm, 1, 2))
-    [r] = ray.get(host.close.remote([p0], 1, wm, {1: 2}))
-    assert r["metrics"]["clips_in"] == 6  # not 9
-    ray.kill(host)
+    def counted(epoch, clips_from, clips_to, *rest):
+        launches.append((epoch, clips_from, clips_to))
+        return launch(epoch, clips_from, clips_to, *rest)
+
+    pipe._launch_ingest = counted
+    return launches
+
+
+def test_epoch_slice_fixed_at_prelaunch(tmp_path, ray_session):
+    """A clips version appended while epoch 0 finishes does not widen the
+    already pre-launched epoch 1: that epoch keeps the slice chosen at its
+    launch, the next epoch takes the new version, and every clip is
+    committed exactly once."""
+    root = str(tmp_path)
+    clips = synth_clips_table(400)
+    ct = Table.create(f"{root}/clips", schema=clips.schema)
+    for v in range(3):
+        ct.append(clips.slice(v * 100, 100))
+    pipe = ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                             cfg(max_versions_per_epoch=2))
+    launches = _count_launches(pipe)
+    finish = pipe._finish_epoch
+
+    def finish_and_grow(epoch, *rest, **kw):
+        if epoch == 0:
+            ct.append(clips.slice(300, 100))
+        return finish(epoch, *rest, **kw)
+
+    pipe._finish_epoch = finish_and_grow
+    metrics = pipe.run()
+    assert launches == [(0, 0, 2), (1, 2, 3), (2, 3, 4)]
+    slices = [tuple(e["clips"]) for e in read_lineage(f"{root}/out")]
+    assert slices[:3] == [(0, 2), (2, 3), (3, 4)]
+    assert slices[0][0] == 0 and slices[-1][1] == 4
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+    repl = Table(f"{root}/out/replicated").to_arrow()
+    assert repl.column("seq").to_pandas().is_unique
+    assert repl.num_rows + metrics.get("clips_late", 0) == 400
+
+
+def test_max_epochs_launches_no_further_epoch(tmp_path, ray_session):
+    """run(max_epochs=1) launches epoch 0 only: no pre-launch of an epoch
+    the run will not finish."""
+    root = str(tmp_path)
+    clips = synth_clips_table(200)
+    ct = Table.create(f"{root}/clips", schema=clips.schema)
+    for v in range(2):
+        ct.append(clips.slice(v * 100, 100))
+    pipe = ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg())
+    launches = _count_launches(pipe)
+    pipe.run(max_epochs=1)
+    assert launches == [(0, 0, 1)]
 
 
 @pytest.mark.parametrize("num_partitions,hosts", [(4, 2), (8, 3)])

@@ -6,8 +6,11 @@ state actors once the sticky hot set kicks in, while every semantic oracle
 stays byte-identical to the unsalted semantics.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from hydra_ray.pipelines.replicate import (
@@ -16,7 +19,11 @@ from hydra_ray.pipelines.replicate import (
     ReplicatePipeline,
     read_lineage,
 )
-from hydra_ray.synth import synth_clips_table, synth_updates_table
+from hydra_ray.synth import (
+    UPDATE_SCHEMA,
+    synth_clips_table,
+    synth_updates_table,
+)
 from hydra_ray.table import Table
 
 N_CLIPS = 800
@@ -249,6 +256,71 @@ def test_exactly_once_salted(tmp_path, ray_session, hot_run):
     pipe2 = ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg(), f"{root}/updates")
     pipe2.run()
     assert _content_signature(f"{root}/out") == clean_sig
+
+
+def _hot_turn_sources(root):
+    """Key K turns hot at the end of epoch 0; its only update arrives in
+    epoch 1 (home partition only, K not yet salted there) and joins K's
+    epoch-2 clips, which are salted."""
+    K = "clip-turns-hot"
+    base = synth_clips_table(100, hot_fraction=0.0)
+
+    def clips(lo, keys, ts_s):
+        t = base.slice(lo, len(keys))
+        t = t.set_column(t.schema.get_field_index("clip_id"), "clip_id",
+                         pa.array(keys, pa.string()))
+        return t.set_column(
+            t.schema.get_field_index("event_ts"), "event_ts",
+            pa.array(np.asarray(ts_s, np.int64) * 1000, pa.timestamp("ms")))
+
+    def updates(seq0, keys, ts_s, text):
+        n = len(keys)
+        return pa.table({
+            "clip_id": pa.array(keys, pa.string()),
+            "transcript": pa.array([text] * n, pa.string()),
+            "revision": pa.array([1] * n, pa.int32()),
+            "event_ts": pa.array(np.asarray(ts_s, np.int64) * 1000,
+                                 pa.timestamp("ms")),
+            "seq": pa.array(np.arange(seq0, seq0 + n), pa.int64()),
+        }, schema=UPDATE_SCHEMA)
+
+    other = [f"other-{i:03d}" for i in range(50)]
+    ct = Table.create(f"{root}/clips", schema=base.schema)
+    ct.append(clips(0, [K] * 40 + other[:20], range(0, 60)))
+    ct.append(clips(60, other[20:40], range(100, 120)))
+    ct.append(clips(80, [K] * 10 + other[40:50], range(200, 220)))
+    ut = Table.create(f"{root}/updates", schema=UPDATE_SCHEMA)
+    ut.append(updates(0, [f"unrelated-{i}" for i in range(5)],
+                      range(10, 15), "unrelated"))
+    ut.append(updates(5, [K], [215], "K updated"))
+    ut.append(updates(6, [f"unrelated-{i}" for i in range(5, 10)],
+                      range(210, 215), "unrelated"))
+    return K
+
+
+def test_key_turning_hot_keeps_pipelined_epoch_updates(tmp_path, ray_session):
+    """A key that turns hot while the next epoch is already launched:
+    that epoch routes its update home only, and the copy to the salt
+    partitions must still include it, so the salted run joins every
+    clip exactly as the unsalted run does."""
+    out = {}
+    for name, threshold in (("salted", 0.1), ("unsalted", 0.0)):
+        root = str(tmp_path / name)
+        K = _hot_turn_sources(root)
+        c = replace(cfg(), hot_key_threshold=threshold)
+        ReplicatePipeline(f"{root}/clips", f"{root}/out", c,
+                          f"{root}/updates").run()
+        out[name] = (Table(f"{root}/out/replicated").to_arrow().select(
+            ["seq", "clip_id", "partition", "transcript"]).to_pandas()
+            .sort_values("seq").reset_index(drop=True))
+    salted, unsalted = out["salted"], out["unsalted"]
+    k_late = unsalted[(unsalted["clip_id"] == K) & (unsalted["seq"] >= 80)]
+    assert len(k_late) == 10 and (k_late["transcript"] == "K updated").all()
+    # K's epoch-2 clips really were spread over salt partitions
+    ks = salted[(salted["clip_id"] == K) & (salted["seq"] >= 80)]
+    assert ks["partition"].nunique() > 1
+    pd.testing.assert_frame_equal(salted[["seq", "transcript"]],
+                                  unsalted[["seq", "transcript"]])
 
 
 def test_salted_partials_merge_equals_unsalted_close():
