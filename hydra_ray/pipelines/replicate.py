@@ -60,7 +60,7 @@ from ..state.store import (
     slot_num_cpus,
 )
 from ..table import Table
-from ..table.lancelite import FragmentMeta
+from ..table.lancelite import FragmentMeta, stage_fragments
 
 __all__ = ["ReplicateConfig", "ReplicatePipeline", "CrashPoint"]
 
@@ -342,11 +342,10 @@ class _Router:
         """Stage all accumulated payload slices → {partition: frag json}."""
         if not self._pending:
             return {}
-        from ..table import Table as _Table
-
-        payload_tbl = _Table(self.payload_root)
-        frags = {}
-        for p in sorted(self._pending):
+        payload_tbl = Table(self.payload_root)
+        parts = sorted(self._pending)
+        jobs = []
+        for p in parts:
             tables = self._pending[p]
             heavy = (
                 tables[0]
@@ -356,10 +355,10 @@ class _Router:
             # passthrough fragments hold already-encoded audio bytes —
             # snappy would scan them for nothing; PCM fragments keep it
             comp = (None if "bytes" in heavy.column_names else "snappy")
-            frag = payload_tbl.stage_fragment(
-                heavy, self.epoch, p, compression=comp
-            )
-            frags[p] = json.dumps(frag.to_json())
+            jobs.append((payload_tbl, heavy, self.epoch, p, comp))
+        # one fragment per partition, their PUTs in flight together
+        frags = {p: json.dumps(frag.to_json())
+                 for p, frag in zip(parts, stage_fragments(jobs))}
         self._pending = {}
         self._pbytes = 0
         return frags
@@ -1534,11 +1533,6 @@ class ReplicatePipeline:
         if cfg.crash_at == (epoch, "after_prepare"):
             raise CrashPoint(f"injected crash after prepare of epoch {epoch}")
 
-        # -- 5. checkpoint (full every K epochs, deltas between) ------------
-        full = (epoch % max(cfg.full_checkpoint_every, 1)) == 0
-        call_hosts("checkpoint", self._slots("p", "d", "n"), epoch, wm, full)
-
-        # -- 6. commit (aux first, main last = source of truth) -------------
         staged: dict[str, list[FragmentMeta]] = {s: [] for s in self.SINKS}
         for r in results:
             for sink_name, frag in r["staged"].items():
@@ -1546,11 +1540,15 @@ class ReplicatePipeline:
         for sink_name, frag in hot_staged:
             staged[sink_name].append(frag)
         if cfg.early_fire and not flush:
+            # its render RPC goes first: a host runs one RPC at a time,
+            # and the checkpoint below would queue ahead of it
             for sink_name, frag in self._stage_early_windows(results, epoch):
                 staged[sink_name].append(frag)
         if not flush:
             for fj in pay_frags:
                 staged["payload"].append(FragmentMeta.from_json(json.loads(fj)))
+
+        # -- 5. checkpoint ‖ 6. aux commits + lineage → 7. main commit -----
         # per-epoch lineage goes to an append-only SIDE LOG (bounded
         # manifests at any horizon); the line is written before the commit
         # so a committed epoch always has its entry, and replays write
@@ -1568,10 +1566,15 @@ class ReplicatePipeline:
             lineage_entry["neardup_dropped"] = self._neardup_epoch_dropped.pop(
                 epoch, 0
             )
-        # the aux commits and the lineage PUT touch disjoint objects, so
-        # they overlap; each commit keeps its own conditional-PUT retry
-        # loop.  All must land before the main commit, and any failure
-        # leaves the epoch uncommitted (replay re-commits idempotently).
+        # the checkpoint (full every K epochs, deltas between), the aux
+        # commits and the lineage PUT touch disjoint objects, so they
+        # overlap; each commit keeps its own conditional-PUT retry loop.
+        # All must land before the main commit (last: the source of
+        # truth), and any failure leaves the epoch uncommitted (replay
+        # re-commits idempotently).
+        full = (epoch % max(cfg.full_checkpoint_every, 1)) == 0
+        checkpointed = call_hosts("checkpoint", self._slots("p", "d", "n"),
+                                  epoch, wm, full, wait=False)
         pending = [
             self._commit_pool.submit(
                 self.sink[s].commit_epoch, self.name, epoch, staged[s])
@@ -1580,6 +1583,7 @@ class ReplicatePipeline:
         pending.append(self._commit_pool.submit(self._append_lineage,
                                                 lineage_entry))
         futures.wait(pending)
+        checkpointed()
         for f in pending:
             f.result()
 
@@ -1686,13 +1690,11 @@ class ReplicatePipeline:
         if sess:
             tables["sessions_live"] = pa.concat_tables(sess).sort_by(
                 [("clip_id", "ascending"), ("session_start", "ascending")])
-        return [
-            (name, self.sink[name].stage_fragment(
-                tbl.append_column(
-                    "epoch", pa.array([epoch] * tbl.num_rows, pa.int64())),
-                epoch, 0))
-            for name, tbl in tables.items()
-        ]
+        return list(zip(tables, stage_fragments([
+            (self.sink[name], tbl.append_column(
+                "epoch", pa.array([epoch] * tbl.num_rows, pa.int64())),
+             epoch, 0)
+            for name, tbl in tables.items()], self._commit_pool)))
 
     def _append_lineage(self, entry: dict):
         """One immutable object per epoch (no file append — object-store
@@ -1731,8 +1733,9 @@ class ReplicatePipeline:
             call_hosts("adopt_sessions", [
                 (self.actors[h], (("p", h), rows))
                 for h, rows in by_home.items()])
-        return [(name, self.sink[name].stage_fragment(tbl, epoch, -1))
-                for name, tbl in tables.items()]
+        return list(zip(tables, stage_fragments(
+            [(self.sink[name], tbl, epoch, -1)
+             for name, tbl in tables.items()], self._commit_pool)))
 
     def _update_hot_detection(self, results: list, acks: list):
         """Fold per-epoch key counts into the sticky hot set."""

@@ -1611,8 +1611,9 @@ class StateHost:
     ``n*``).  Every RPC takes a list of slots (or slot-first tuples) and
     returns one result per entry.  The storage-bound ones (close,
     checkpoint, restore) run the slots on a thread pool, each slot's state
-    touched only by its own slot's work; the in-memory ones run the slots
-    one after another."""
+    touched only by its own slot's work; close then stages every slot's
+    sink fragments concurrently on the same pool.  The in-memory ones run
+    the slots one after another."""
 
     def __init__(self, slots: list, cfg, sink_roots: dict, part_root: str,
                  ckpt_root: str):
@@ -1648,7 +1649,13 @@ class StateHost:
                 os.path.join(part_root if kind == "p" else ckpt_root,
                              f"{kind}{i:04d}"),
                 cfg.keep_checkpoints)
-        self._pool = futures.ThreadPoolExecutor(len(self.state))
+        # runs the slots of close/checkpoint/restore, and the fragment
+        # PUTs of close once its slots are done (never nested), so it is
+        # sized for one thread per partition slot and sink; threads start
+        # only when that many jobs are in flight
+        n_part = sum(kind == "p" for kind, _ in slots)
+        self._pool = futures.ThreadPoolExecutor(
+            max(len(self.state), n_part * len(sink_roots)))
 
     def _each(self, fn, slots: list) -> list:
         # overlaps the slots' storage round trips (on a 30 ms object
@@ -1671,10 +1678,24 @@ class StateHost:
 
     def close(self, slots: list, epoch: int, wm: int,
               hot_keys: list | None = None) -> list[dict]:
-        hot = frozenset(hot_keys) if hot_keys else frozenset()
-        return self._each(lambda s: self._close(s, epoch, wm, hot), slots)
+        """Close every slot, then stage all their sink fragments at once:
+        their PUTs overlap across slots and sinks alike."""
+        from ..table import stage_fragments
 
-    def _close(self, slot, epoch: int, wm: int, hot: frozenset) -> dict:
+        hot = frozenset(hot_keys) if hot_keys else frozenset()
+        closed = self._each(lambda s: self._close(s, epoch, wm, hot), slots)
+        frags = iter(stage_fragments(
+            [(self.sinks[slot][name], tbl, epoch, slot[1])
+             for slot, (_, out) in zip(slots, closed) for name, tbl in out],
+            self._pool))
+        for res, out in closed:
+            res["staged"] = {name: next(frags).to_json() for name, _ in out}
+        return [res for res, _ in closed]
+
+    def _close(self, slot, epoch: int, wm: int,
+               hot: frozenset) -> tuple[dict, list]:
+        """→ (the slot's close result, its ``(sink, table)`` outputs to
+        stage)."""
         state = self.state[slot]
         apply = {"clips": state.ingest_clips, "funnel": state.ingest_funnel,
                  "updates": state.ingest_updates}
@@ -1683,28 +1704,25 @@ class StateHost:
         outputs = state.close_epoch(epoch, wm, hot)
         early = {k: outputs.pop(k, None) for k in (
             "early_touched", "early_touched_sliding")}
-        staged, hot_out = {}, {}
+        out, hot_out = [], {}
         for name, tbl in outputs.items():
             if name.startswith("hot_"):
                 if tbl is not None:
                     hot_out[name] = tbl
                 continue
             if tbl is not None and name in self.sinks[slot] and tbl.num_rows:
-                frag = self.sinks[slot][name].stage_fragment(
-                    tbl, epoch, state.partition)
-                staged[name] = frag.to_json()
+                out.append((name, tbl))
         # per-epoch heavy-key counts (top few, floor-filtered) feed the
         # driver's sticky hot-set detection; reset for the next epoch
         kc = sorted(state.key_counts.items(), key=lambda kv: -kv[1])[:128]
         state.key_counts = {}
         return {
-            "staged": staged,
             "hot": hot_out,
             "key_counts": kc,
             "metrics": dict(state.metrics),
             "max_ts": state.max_ts,
             **early,
-        }
+        }, out
 
     def render(self, slots: list, cells, sliding_cells=None,
                sessions: bool = False) -> list[tuple]:

@@ -1,1 +1,1 @@
-from .lancelite import Table, FragmentMeta  # noqa: F401
+from .lancelite import Table, FragmentMeta, stage_fragments  # noqa: F401

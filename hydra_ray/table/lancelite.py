@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from concurrent import futures
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -510,11 +511,17 @@ class Table:
         real CPU per epoch).  Writes against a schema-declared table
         enforce the same evolution rules as ``append`` (evolution itself
         happens via ``append``)."""
-        if self._stage_schema is Table._SCHEMA_UNSET:
-            self._stage_schema = self.schema()
-        if self._stage_schema is not None:
+        if self.stage_schema() is not None:
             self.check_schema(data.schema)
         return self._write_fragment(data, _DATA_DIR, partition, epoch, compression)
+
+    def stage_schema(self) -> pa.Schema | None:
+        """The schema staged fragments are checked against, read once per
+        instance (not thread-safe: ``stage_fragments`` fills it before
+        threads share the table)."""
+        if self._stage_schema is Table._SCHEMA_UNSET:
+            self._stage_schema = self.schema()
+        return self._stage_schema
 
     def committed_epoch(self, pipeline: str) -> int:
         """Last committed epoch for ``pipeline`` (-1 = none)."""
@@ -864,3 +871,23 @@ class Table:
                 )
             )
         return self._commit_fragments(frags)
+
+
+def stage_fragments(jobs: list, pool=None) -> list[FragmentMeta]:
+    """Stage ``(table, data, epoch, partition[, compression])`` jobs with
+    their PUTs in flight together → one ``FragmentMeta`` per job, in job
+    order (``map``, so manifests list fragments in a fixed order).
+
+    Every cold stage-schema memo is filled before the fan-out, one read
+    per distinct table: threads sharing a cold table would each read the
+    schema.  ``pool`` defaults to one thread per job; a caller's pool must
+    not be running the caller itself (nested waits can deadlock)."""
+    if len(jobs) <= 1:
+        return [t.stage_fragment(*a) for t, *a in jobs]
+    if pool is None:
+        with futures.ThreadPoolExecutor(len(jobs)) as own:
+            return stage_fragments(jobs, own)
+    cold = [t for t in {id(t): t for t, *_ in jobs}.values()
+            if t._stage_schema is Table._SCHEMA_UNSET]
+    list(pool.map(Table.stage_schema, cold))
+    return list(pool.map(lambda j: j[0].stage_fragment(*j[1:]), jobs))

@@ -573,6 +573,29 @@ def test_keep_one_checkpoint_crash_resume(tmp_path, ray_session, clean_run):
                           cfg(keep_checkpoints=0), f"{root}/updates")
 
 
+def test_checkpoint_failure_beside_aux_commits(tmp_path, ray_session,
+                                              clean_run):
+    """Epoch 2's checkpoint fails while the aux commits it overlaps land:
+    run() raises, the main sink stays at epoch 1, and a resume (the aux
+    sinks already hold epoch 2) reaches the clean output."""
+    clean_sig = _content_signature(f"{clean_run[0]}/out")
+    root = str(tmp_path)
+    build_sources(root)
+    # a regular file where partition 0's epoch-2 checkpoint dir goes
+    blocker = f"{root}/out/_checkpoints/p0000/e000002"
+    os.makedirs(os.path.dirname(blocker))
+    open(blocker, "w").close()
+    with pytest.raises(Exception, match="e000002"):
+        ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg(),
+                          f"{root}/updates").run()
+    assert Table(f"{root}/out/replicated").committed_epoch("replicate") == 1
+    assert Table(f"{root}/out/windows").committed_epoch("replicate") == 2
+    os.remove(blocker)
+    ReplicatePipeline(f"{root}/clips", f"{root}/out", cfg(),
+                      f"{root}/updates").run()
+    assert _content_signature(f"{root}/out") == clean_sig
+
+
 def test_resume_with_changed_checkpoint_cadence(tmp_path, ray_session,
                                                 clean_run):
     """GC follows the snapshots actually written, not the configured
