@@ -1042,6 +1042,8 @@ class ReplicatePipeline:
         """Start the state hosts: ``host_layout`` deals the partition,
         dedup-shard and near-dup-shard slots to a pool sized from their
         CPU reservation, never from the slot count."""
+        import ray
+
         cfg = self.cfg
         if cfg.neardup:
             if cfg.neardup_signature == "minhash":
@@ -1061,18 +1063,27 @@ class ReplicatePipeline:
         # (they run in the routing tasks, never in state)
         state_cfg = replace(cfg, payload_transform=None, payload_filter=None)
         sink_roots = {s: t.uri for s, t in self.sink.items()}
-        host_of, hosts = {}, []
+        host_of, hosts, reserved = {}, [], 0.0
         for slots in host_layout(cfg):
+            cpus = round(sum(slot_num_cpus(cfg, s) for s in slots), 4)
+            reserved += cpus
             # SPREAD: balance hosts across cluster nodes (a no-op in
             # single-node local mode; on a real cluster it keeps one
             # node's failure from taking out every partition's state)
             h = cls.options(
-                num_cpus=round(sum(slot_num_cpus(cfg, s) for s in slots), 4),
-                scheduling_strategy="SPREAD",
+                num_cpus=cpus, scheduling_strategy="SPREAD",
             ).remote(slots, state_cfg, sink_roots, self.part_root,
                      self.ckpt_root)
             hosts.append(h)
             host_of.update((s, h) for s in slots)
+        # the dedup tiers' content pass cuts an epoch's fragments into at
+        # most this many row windows: the task slots the hosts leave
+        # free, but no more than this node's cores, because declared CPUs
+        # may exceed them and a window only pays on an idle core (12k
+        # clips, 32 CPUs declared on 4 cores: 24 windows per epoch took
+        # the near-dup run from 8.1 s to 11.8 s)
+        free = int(round(ray.cluster_resources().get("CPU", 1.0) - reserved, 4))
+        self._pass_slots = max(1, min(free, os.cpu_count() or 1))
         self.actors = [host_of["p", i] for i in range(cfg.num_partitions)]
         self.dedup_shards = [host_of["d", i] for i in range(
             cfg.num_dedup_shards if cfg.dedup else 0)]
@@ -1264,20 +1275,29 @@ class ReplicatePipeline:
         slice ``(clips_from, clips_to] × (updates_from, updates_to]``."""
         cfg = self.cfg
         if (cfg.dedup or cfg.neardup) and clips_to > clips_from:
-            # two-phase: the column-pruned hash pass and/or the decode+
-            # fingerprint pass run first (they can pre-launch and overlap
-            # the previous epoch's close); the routed ingest launches
-            # after resolve with the merged drop set
-            refs = (
-                self._launch_hash_pass(epoch, clips_from, clips_to)
-                if cfg.dedup
-                else []
-            )
-            refs += (
-                self._launch_fp_pass(epoch, clips_from, clips_to)
-                if cfg.neardup
-                else []
-            )
+            # two-phase: the content pass runs first (it can pre-launch
+            # and overlap the previous epoch's close); the routed ingest
+            # launches after resolve with the merged drop set
+            from ..state.content_pass import CHUNK, content_pass_task
+
+            task = content_pass_task()
+            frags = self.clips.read_fragments(clips_from, clips_to)
+            # the audio fingerprint kernel sets the pass time: when it
+            # runs, share the pass slots among the epoch's fragments as
+            # row windows (each window re-reads the pruned columns);
+            # hashing or text signing alone keeps one read per fragment
+            slots = (self._pass_slots // max(1, len(frags))
+                     if cfg.neardup and cfg.neardup_signature == "audio_fp"
+                     else 1)
+            refs = []
+            for f in frags:
+                n = max(1, min(-(-f.rows // CHUNK), slots))
+                step = -(-f.rows // n)
+                refs += [task.remote(
+                    self.clips.fragment_paths([f])[0], self.dedup_shards,
+                    self.neardup_shards, epoch, cfg.dedup_cols,
+                    cfg.neardup_bands, cfg.neardup_signature,
+                    row_lo=p * step, row_cnt=step) for p in range(n)]
             return (
                 "dedup",
                 (refs, epoch, clips_from, clips_to,
@@ -1287,40 +1307,6 @@ class ReplicatePipeline:
             epoch, clips_from, clips_to, updates_from, updates_to,
             wm_prev, None,
         )
-
-    def _launch_hash_pass(self, epoch, clips_from, clips_to):
-        from ..state.dedup_index import hash_pass_task
-
-        task = hash_pass_task()
-        cols = list(self.cfg.dedup_cols)
-        return [
-            task.remote(
-                self.clips.fragment_paths([f]), self.dedup_shards,
-                epoch, cols,
-            )
-            for f in self.clips.read_fragments(clips_from, clips_to)
-        ]
-
-    def _launch_fp_pass(self, epoch, clips_from, clips_to):
-        from ..state.neardup_index import fp_pass_task
-
-        task = fp_pass_task()
-        refs = []
-        for f in self.clips.read_fragments(clips_from, clips_to):
-            # decode dominates this pass: fan a big fragment out across
-            # row-window tasks (each re-reads the pruned columns, ~0.1 s)
-            n_parts = max(1, min(8, -(-f.rows // 512)))
-            step = -(-f.rows // n_parts)
-            for p in range(n_parts):
-                refs.append(
-                    task.remote(
-                        self.clips.fragment_paths([f]), self.neardup_shards,
-                        epoch, self.cfg.neardup_bands,
-                        row_lo=p * step, row_cnt=step,
-                        signature=self.cfg.neardup_signature,
-                    )
-                )
-        return refs
 
     def _launch_routed(
         self, epoch, clips_from, clips_to, updates_from, updates_to,

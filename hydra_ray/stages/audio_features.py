@@ -173,11 +173,16 @@ def audio_fingerprint(batch: pa.Table, pcm_col: str = "pcm",
     starts = offsets[:-1]
     d1[starts[starts < nf]] = 0.0
     e1 = seg_energy(d1)
-    d1[1:] = np.diff(d1)  # second difference (in place over the same scratch)
-    d1[0] = 0.0
+    # second difference: float32 math written straight into the float64
+    # work buffer (widening is exact) and squared there in place — no
+    # full-width temporary
+    d2 = work[:nf]
+    if nf > 1:
+        np.subtract(d1[1:], d1[:-1], out=d2[1:], dtype=np.float32)
+    d2[0] = 0.0
     both = np.concatenate([starts, starts + 1])
-    d1[both[both < nf]] = 0.0
-    e2 = seg_energy(d1)
+    d2[both[both < nf]] = 0.0
+    e2 = seg_energy(d2)
     # zero crossings per frame (same one-zero pad as seg_energy)
     np.signbit(flat, out=mask)
     change = _scratch(nf + 1, np.uint8, "fpzc")
@@ -188,8 +193,9 @@ def audio_fingerprint(batch: pa.Table, pcm_col: str = "pcm",
     # clip-start positions must not count a crossing against the previous
     # clip's last sample; empty clips' starts (== nf) land on the pad
     change[np.minimum(offsets[:-1], nf)] = 0
+    # a frame holds < 2³² samples: uint32 counts equal int64 ones, faster
     zc = (
-        np.add.reduceat(change[: nf + 1], seg, dtype=np.int64)
+        np.add.reduceat(change[: nf + 1], seg, dtype=np.uint32)
         .reshape(n, F)
         .astype(np.float64)
     )

@@ -14,10 +14,11 @@ Epoch protocol (mirrors the partition slots' stash/close discipline
 so crash replay is byte-identical, and decisions are arrival-order AND
 routing independent):
 
-1. HASH PASS — one raw task per source fragment reads ONLY
-   ``(seq, content cols)`` (parquet column pruning, no decode), hashes
-   rows vectorized, and ships ``(hash, seq)`` slices to their shards
-   (one ``submit`` RPC per host), which STASH them under the epoch.
+1. CONTENT PASS (``state/content_pass.py``) — one raw task per source
+   row window reads the content cols (parquet column pruning; shared
+   with the near-dup tier's fingerprints), hashes every row vectorized,
+   and ships ``(hash, seq)`` slices to their shards (one ``submit`` RPC
+   per host), which STASH them under the epoch.
 2. ``resolve(epoch)`` — each shard folds the stashed entries of every
    epoch ≤ this one and decides per hash: the winner is the **min-seq** row;
    every seq whose hash is already in the committed seen set drops, and
@@ -216,45 +217,3 @@ class DedupIndexState:
         self.metrics = dict(meta["metrics"])
         self._delta_new = []
 
-
-_HASH_TASK = None
-
-
-def hash_pass_task():
-    """Lazy raw-task: read (seq, content cols) from one fragment file —
-    column-pruned, no decode — hash, ship per-shard slices to the hosts
-    in ``shards`` (the host of each shard; one ``submit`` per host).
-    ``max_retries=0``: the epoch-level retry (driver resume, which clears
-    the hosts' stashes) owns failures."""
-    global _HASH_TASK
-    if _HASH_TASK is None:
-        import ray
-
-        @ray.remote(max_retries=0)
-        def hash_fragment(paths, shards, epoch, cols, seq_col="seq",
-                          ts_col="event_ts"):
-            import pyarrow.parquet as pq
-
-            from ..stages.windows import ts_to_ms
-            from .store import call_hosts
-
-            parts, n = [], 0
-            read_cols = list(dict.fromkeys([seq_col, ts_col, *cols]))
-            for path in paths:
-                t = pq.read_table(path, columns=read_cols)
-                if t.num_rows == 0:
-                    continue
-                h = content_hash_of(t, cols)
-                s = t[seq_col].to_numpy()
-                ts = ts_to_ms(t[ts_col])
-                sh = (h % np.uint64(len(shards))).astype(np.int64)
-                for d in np.unique(sh):
-                    m = sh == d
-                    parts.append(
-                        (shards[d], (("d", int(d)), (h[m], s[m]), ts[m])))
-                n += t.num_rows
-            call_hosts("submit", parts, epoch)
-            return n
-
-        _HASH_TASK = hash_fragment
-    return _HASH_TASK

@@ -21,11 +21,12 @@ one vectorized XOR+popcount over the gathered same-key candidates.
 Epoch protocol (same stash/replay discipline as the exact tier —
 decisions are arrival-order AND routing independent):
 
-1. FINGERPRINT PASS — one raw task per source fragment reads ONLY
-   ``(seq, bytes, codec, sr_hz)``, decodes, fingerprints (both
-   vectorized), and ships band-entry slices ``(key, fp, seq)`` to their
-   shards (slots of the ``store.StateHost`` actors; one ``submit`` RPC
-   per host), which STASH them under the epoch.  Rows that fail
+1. CONTENT PASS (``state/content_pass.py``) — one raw task per source
+   row window reads ``(seq, bytes, codec, sr_hz)`` (plus the exact
+   tier's content cols, hashed in the same task), decodes, fingerprints
+   (both vectorized), and ships band-entry slices ``(key, fp, seq)`` to
+   their shards (slots of the ``store.StateHost`` actors; one ``submit``
+   RPC per host), which STASH them under the epoch.  Rows that fail
    decode get no fingerprint and are never near-dup-dropped (they DLQ at
    ingest like always).
 2. ``resolve(epoch)`` — each shard probes its stash entries of every
@@ -53,7 +54,6 @@ import os
 import pickle
 
 import numpy as np
-import pyarrow as pa
 
 __all__ = [
     "NearDupIndexState",
@@ -63,7 +63,6 @@ __all__ = [
     "neardup_metric",
     "neardup_threshold",
     "resolve_near_epoch",
-    "fp_pass_task",
 ]
 
 _MAX_RUNS = 8
@@ -342,122 +341,3 @@ def resolve_near_epoch(shards, epoch: int,
     call_hosts("commit", shards, epoch, kept)
     return kept, drop
 
-
-_FP_TASK = None
-
-
-def fp_pass_task():
-    """Lazy raw-task: read ``(seq, bytes, codec, sr_hz)`` from fragment
-    files, decode + fingerprint (vectorized), ship band entries to the
-    hosts in ``shards`` (the host of each shard; one ``submit`` per
-    host).  ``max_retries=0``: the epoch-level retry (driver resume,
-    which clears the hosts' stashes) owns failures."""
-    global _FP_TASK
-    if _FP_TASK is None:
-        import ray
-
-        @ray.remote(max_retries=0)
-        def fp_fragment(paths, shards, epoch, n_bands, seq_col="seq",
-                        row_lo: int = 0, row_cnt: int | None = None,
-                        signature: str = "audio_fp"):
-            import pyarrow.parquet as pq
-
-            from ..audio import decode_batch
-            from ..stages.audio_features import audio_fingerprint
-            from ..stages.windows import ts_to_ms as _tms
-            from .store import call_hosts
-
-            parts, n = [], 0
-
-            def ship(keys, fps, seqs, row_ts):
-                """Queue one entry slice per shard the band keys hit."""
-                sh = shard_of(keys, len(shards))
-                efps = np.repeat(fps, n_bands)
-                eseqs = np.repeat(seqs, n_bands)
-                ets = np.repeat(row_ts, n_bands)
-                for d in np.unique(sh):
-                    m = sh == d
-                    parts.append((shards[d], (
-                        ("n", int(d)), (keys[m], efps[m], eseqs[m]), ets[m])))
-
-            if signature in ("simhash", "minhash"):
-                # text modes over the transcript column — one
-                # column-pruned read, no decode.  "simhash": bit-Hamming
-                # fingerprint (the int64→uint64 view flips only the sign
-                # bit, which preserves distances).  "minhash": banded
-                # minhash lanes (`minhash_band_signature`) probed under
-                # the lane-distance metric — fuzzier token-level match.
-                from ..stages.neardup import (
-                    SimHasher,
-                    minhash_band_signature,
-                )
-
-                hasher = (SimHasher(text_col="transcript", id_col=seq_col)
-                          if signature == "simhash" else None)
-                for path in paths:
-                    t = pq.read_table(
-                        path, columns=[seq_col, "event_ts", "transcript"])
-                    if row_cnt is not None:
-                        t = t.slice(row_lo, row_cnt)
-                    if t.num_rows == 0:
-                        continue
-                    row_ts = _tms(t["event_ts"])
-                    if hasher is not None:
-                        out = hasher(t)
-                        fps = out["simhash"].to_numpy().view(np.uint64)
-                        seqs = out[seq_col].to_numpy()
-                    else:
-                        fps = minhash_band_signature(
-                            t["transcript"].to_pylist(), n_bands=n_bands)
-                        seqs = t[seq_col].to_numpy()
-                    ship(band_entries(fps, n_bands), fps, seqs, row_ts)
-                    n += t.num_rows
-                call_hosts("submit", parts, epoch)
-                return n
-
-            # decode+fingerprint in SMALL row chunks: the kernels run over
-            # flat sample buffers, and on lazy-memory hosts one
-            # whole-fragment pass faults tens of MB of fresh pages
-            # (measured 58 s cold vs 4.6 s chunked for 261 clips) — small
-            # chunks let every iteration reuse the same warm pages.
-            # Chunking never changes fingerprints (batch-composition
-            # independence is a tested kernel property).
-            CHUNK = 32
-            for path in paths:
-                t = pq.read_table(
-                    path, columns=[seq_col, "event_ts", "bytes", "codec",
-                                   "sr_hz"]
-                )
-                if row_cnt is not None:
-                    # row-window fan-out: the driver splits big fragments
-                    # across tasks (decode is the dominant cost; the
-                    # column-pruned read it duplicates is ~0.1 s)
-                    t = t.slice(row_lo, row_cnt)
-                fps_parts, seq_parts, ts_parts = [], [], []
-                for lo in range(0, t.num_rows, CHUNK):
-                    c = t.slice(lo, CHUNK)
-                    pcm, err = decode_batch(c["bytes"], c["codec"], c["sr_hz"])
-                    ok = np.asarray(pa.compute.is_null(err))
-                    if not ok.any():
-                        continue
-                    sub = pa.table(
-                        {"pcm": pcm.filter(pa.array(ok)),
-                         seq_col: c[seq_col].filter(pa.array(ok))}
-                    )
-                    fp_t = audio_fingerprint(sub, "pcm", out_col="afp")
-                    fps_parts.append(
-                        fp_t["afp"].to_numpy().astype(np.int64).view(np.uint64)
-                    )
-                    seq_parts.append(fp_t[seq_col].to_numpy())
-                    ts_parts.append(_tms(c["event_ts"])[ok])
-                if not fps_parts:
-                    continue
-                fps = np.concatenate(fps_parts)
-                ship(band_entries(fps, n_bands), fps,
-                     np.concatenate(seq_parts), np.concatenate(ts_parts))
-                n += t.num_rows
-            call_hosts("submit", parts, epoch)
-            return n
-
-        _FP_TASK = fp_fragment
-    return _FP_TASK

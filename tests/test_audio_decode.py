@@ -194,6 +194,37 @@ def test_audio_fingerprint_invariance_and_neardup(ray_session):
     assert len(extras) <= 2, sorted(extras)[:5]
 
 
+def test_audio_fingerprint_bits_pinned():
+    """The fingerprint's bits are fixed: every kernel or chunking change
+    must keep this digest of the int64 fingerprints of 36 synth clips (all
+    six codecs) plus one empty clip, computed whole and in 1-, 16- and
+    32-row chunks.  The near-dup tier's committed indexes hold these bits,
+    so a changed bit would silently break near-dup matching across a
+    restart onto new code."""
+    import hashlib
+
+    from hydra_ray.stages.audio_features import audio_fingerprint
+    from hydra_ray.synth import synth_clips_batch
+
+    t = synth_clips_batch(np.arange(36), 36, seed=7)
+    assert set(t["codec"].to_pylist()) == {
+        "pcm16", "wav", "mulaw", "alaw", "pcm8", "f32"}
+    pcm, err = decode_batch(t["bytes"], t["codec"], t["sr_hz"])
+    assert err.null_count == len(err)
+    pcm = pa.concat_arrays(
+        [pcm.slice(0, 17), pa.array([[]], pcm.type), pcm.slice(17)])
+
+    def fps(p):
+        return audio_fingerprint(pa.table({"pcm": p}))["afp"].to_numpy()
+
+    pinned = "6f0819da23de72a274b97e81569cf989c65d7d57acc0ab582c71db1c60f14efa"
+    for k in (len(pcm), 1, 16, 32):
+        got = np.concatenate(
+            [fps(pcm.slice(lo, k)) for lo in range(0, len(pcm), k)])
+        assert got.dtype == np.int64 and len(got) == 37
+        assert hashlib.sha256(got.tobytes()).hexdigest() == pinned, k
+
+
 def test_validate_only_parity():
     """decode_batch(validate_only=True) must return exactly the full
     path's (n_samples, decode_error) — including flac/adpcm bitstream

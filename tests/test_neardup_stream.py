@@ -176,7 +176,9 @@ def _wave(seed, n_s=4000):
     )
 
 
-def build_near_sources(root):
+def build_near_sources(root, edit=None):
+    """Write the clips table in VERSIONS appends; ``edit(clips)`` may
+    rewrite it first."""
     import pyarrow as pa
 
     from hydra_ray.audio import encode
@@ -211,6 +213,8 @@ def build_near_sources(root):
         },
         schema=CLIP_SCHEMA,
     )
+    if edit is not None:
+        clips = edit(clips)
     ct = Table.create(f"{root}/clips", schema=clips.schema)
     step = N_CLIPS_P // VERSIONS_P
     for v in range(VERSIONS_P):
@@ -343,6 +347,49 @@ def test_neardup_with_exact_dedup_composes(tmp_path, ray_session, neardup_run):
     )
     pipe.run()
     assert _repl_seqs(f"{root}/out") == clean
+
+
+def test_undecodable_clip_under_both_tiers(tmp_path, ray_session):
+    """One fragment holds an undecodable clip (seq 30) and an exact copy
+    of it (seq 33).  The content pass hashes both, so the copy drops at
+    the exact tier; it fingerprints neither; the clip reaches the DLQ
+    once; the kept set is the near-dup greedy over the decodable rows."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from hydra_ray.audio import decode_batch
+    from hydra_ray.pipelines.replicate import ReplicatePipeline
+    from hydra_ray.table import Table
+
+    bad = (30, 33)
+
+    def corrupt(clips):
+        payloads = clips["bytes"].to_pylist()
+        for i in bad:
+            payloads[i] = b"\x01\x02\x03"      # odd-length pcm16
+        col = clips.schema.get_field_index("bytes")
+        return clips.set_column(col, "bytes",
+                                pa.array(payloads, pa.large_binary()))
+
+    root = str(tmp_path)
+    clips = build_near_sources(root, corrupt)
+    _, err = decode_batch(clips["bytes"], clips["codec"], clips["sr_hz"])
+    ok = np.asarray(pc.is_null(err))
+    assert np.flatnonzero(~ok).tolist() == list(bad)
+    metrics = ReplicatePipeline(
+        f"{root}/clips", f"{root}/out",
+        _near_cfg(dedup=True, num_dedup_shards=2)).run()
+
+    assert metrics["dedup_dropped"] == 1
+    # only the decodable rows were fingerprinted
+    assert (metrics["neardup_kept"] + metrics["neardup_dropped"]
+            == N_CLIPS_P - len(bad))
+    dlq = Table(f"{root}/out/dlq").to_arrow().to_pandas()
+    dlq = dlq[dlq["source"] == "clips"]
+    assert dlq["seq"].tolist().count(30) == 1
+    assert 33 not in dlq["seq"].tolist()
+    assert _repl_seqs(f"{root}/out") == _oracle_greedy_fps(
+        clips.filter(pa.array(ok)))
 
 
 def test_neardup_stream_simhash_signature(tmp_path, ray_session):
