@@ -291,6 +291,8 @@ def decode_batch(
     codecs: pa.Array,
     sr_hz: pa.Array | None = None,
     validate_only: bool = False,
+    out: np.ndarray | None = None,
+    out_offsets: np.ndarray | None = None,
 ) -> tuple[pa.LargeListArray, pa.Array]:
     """Decode a batch of audio payloads → (pcm list<float32>, error string).
 
@@ -314,7 +316,14 @@ def decode_batch(
     ``list_value_length`` of the full path's pcm) and the same error
     column.  Callers that only need (decode_error, n_samples) — the
     passthrough-staging pipeline — avoid materializing 4 bytes/sample
-    they would immediately discard."""
+    they would immediately discard.
+
+    ``out`` (a float32 buffer) with ``out_offsets`` (one int64 start per
+    row) decodes each row straight into ``out[start:start + n_samples]``
+    through the same kernels, and returns ``(n_samples, errors)`` as
+    ``validate_only`` does; a row whose span would leave ``out`` is an
+    error row.  The caller owns the layout: it checks each row's
+    ``n_samples`` against the span it reserved."""
     n = len(payloads)
     data, offsets = _binary_views(payloads)
     codec_np = np.asarray(
@@ -441,25 +450,30 @@ def decode_batch(
     for i in np.flatnonzero(~known):
         errors[i] = f"unknown codec {codec_np[i]!r}"
 
+    into = out is not None  # caller-owned destination buffer
+    if into:
+        starts = np.asarray(out_offsets, dtype=np.int64)
+        over = ok & ((starts < 0) | (starts + span_count > len(out)))
+        for i in np.flatnonzero(over):
+            errors[i] = "decoded span overruns the destination buffer"
+        ok &= ~over
     if validate_only:
-        n_samples = pa.array(
-            np.where(ok, span_count, 0).astype(np.int32),
-            pa.int32(),
-            mask=~ok if not ok.all() else None,
-        )
-        return n_samples, pa.array(errors, type=pa.string())
+        return (_sample_counts(ok, span_count),
+                pa.array(errors, type=pa.string()))
 
-    # --- assemble one flat float32 buffer + list offsets ------------------
-    out_counts = np.where(ok, span_count, 0)
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=out_offsets[1:])
-    flat = np.empty(out_offsets[-1], dtype=np.float32)
+    if not into:
+        # --- assemble one flat float32 buffer + list offsets --------------
+        out_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.where(ok, span_count, 0), out=out_offsets[1:])
+        out = np.empty(out_offsets[-1], dtype=np.float32)
+        starts = out_offsets[:-1]
     i16 = data.view(np.int16) if data.size % 2 == 0 else data[: data.size - (data.size % 2)].view(np.int16)
     luts = {1: _mulaw_lut(), 2: _alaw_lut(), 3: _pcm8_lut()}
     inv = np.float32(1.0 / 32767.0)
     for i in np.flatnonzero(ok):
         s, c = span_start[i], span_count[i]
-        o0, o1 = out_offsets[i], out_offsets[i + 1]
+        o0 = starts[i]
+        o1 = o0 + c
         f = fam[i]
         if f == 0:
             if s % 2 == 0:
@@ -468,33 +482,38 @@ def decode_batch(
                 seg = np.frombuffer(bytes(mv[s : s + 2 * c]), dtype="<i2")
             # fused cast+scale: one pass over the output span instead of
             # an int16→f32 copy followed by an in-place multiply
-            np.multiply(seg, inv, out=flat[o0:o1])
+            np.multiply(seg, inv, out=out[o0:o1])
         elif f == 4:
             if s % 4 == 0:
-                flat[o0:o1] = data[s : s + 4 * c].view(np.float32)
+                out[o0:o1] = data[s : s + 4 * c].view(np.float32)
             else:
-                flat[o0:o1] = np.frombuffer(bytes(mv[s : s + 4 * c]), dtype="<f4")
+                out[o0:o1] = np.frombuffer(
+                    bytes(mv[s : s + 4 * c]), dtype="<f4")
         elif f == 5:
-            np.multiply(flac_pcm[i], inv, out=flat[o0:o1])
+            np.multiply(flac_pcm[i], inv, out=out[o0:o1])
         elif f == 6:
-            np.multiply(adpcm_pcm[i], inv, out=flat[o0:o1])
+            np.multiply(adpcm_pcm[i], inv, out=out[o0:o1])
         else:
-            flat[o0:o1] = luts[int(f)][data[s : s + c]]
+            out[o0:o1] = luts[int(f)][data[s : s + c]]
 
-    validity = pa.array(ok)
-    pcm = pa.LargeListArray.from_arrays(
-        pa.array(out_offsets, type=pa.int64()), pa.array(flat, type=pa.float32()),
-    )
-    # apply null mask for failed rows
-    if not ok.all():
-        pcm = pa.LargeListArray.from_arrays(
-            pa.array(out_offsets, type=pa.int64()),
-            pa.array(flat, type=pa.float32()),
-            mask=pa.array(~ok),
-        )
     err_col = pa.array(errors, type=pa.string())
-    del validity
+    if into:
+        return _sample_counts(ok, span_count), err_col
+    pcm = pa.LargeListArray.from_arrays(
+        pa.array(out_offsets, type=pa.int64()),
+        pa.array(out, type=pa.float32()),
+        mask=pa.array(~ok) if not ok.all() else None,  # failed rows → null
+    )
     return pcm, err_col
+
+
+def _sample_counts(ok: np.ndarray, span_count: np.ndarray) -> pa.Array:
+    """Per-row decoded sample count, int32, null for failed rows."""
+    return pa.array(
+        np.where(ok, span_count, 0).astype(np.int32),
+        pa.int32(),
+        mask=~ok if not ok.all() else None,
+    )
 
 
 def snr_db(ref: np.ndarray, test: np.ndarray) -> float:

@@ -60,7 +60,7 @@ from ..state.store import (
     slot_num_cpus,
 )
 from ..table import Table
-from ..table.lancelite import FragmentMeta, stage_fragments
+from ..table.lancelite import FragmentMeta, read_threads, stage_fragments
 
 __all__ = ["ReplicateConfig", "ReplicatePipeline", "CrashPoint"]
 
@@ -798,54 +798,70 @@ def read_replicated(out_root: str, with_payload: bool = True) -> pa.Table:
     not yet committed (reading an output mid-run, between an epoch's
     close and its payload flush) surfaces with NULL heavy columns —
     streaming visibility semantics, never an error.
+
+    The two tables are read concurrently, each fragment on its own pool
+    thread.  Passthrough payload (encoded ``bytes``) is decoded in one
+    pass: one float32 buffer sized from the staged ``n_samples`` holds
+    the whole ``pcm`` column in finalize-row order, and each payload row
+    window decodes on a pool thread straight into its rows' spans — no
+    copy of the encoded bytes, none of the decoded samples.
     """
-    light = Table(os.path.join(out_root, "replicated")).to_arrow()
+    light_t = Table(os.path.join(out_root, "replicated"))
     if not with_payload:
-        return light
-    payload = Table(os.path.join(out_root, "payload")).to_arrow()
+        return light_t.to_arrow()
+    with futures.ThreadPoolExecutor(1) as pool:
+        light_f = pool.submit(light_t.to_arrow)
+        payload = Table(os.path.join(out_root, "payload")).to_arrow()
+        light = light_f.result()
     if payload.num_rows == 0:
         return light
-    # manual index join (Arrow's hash join rejects large_list payloads);
-    # null indices in `take` produce null rows, giving the null padding
-    import pandas as pd
-
-    pos = pd.Series(
-        np.arange(payload.num_rows), index=payload["seq"].to_numpy(zero_copy_only=False)
-    )
-    take_idx = pos.reindex(light["seq"].to_numpy(zero_copy_only=False)).to_numpy()
-    mask = ~pd.isna(take_idx)
-    idx = pa.array(
-        np.where(mask, take_idx, 0).astype(np.int64), mask=~mask
-    )
-    matched = payload.take(idx)
-    if "bytes" in matched.column_names:
+    idx = _join_index(payload["seq"], light["seq"])
+    if "bytes" in payload.column_names:
         # passthrough fragments hold the ENCODED source payload; rebuild
         # the decoded pcm here, bit-identically through the same decode
-        # kernels that validated it at ingest (in-flight null rows stay
-        # null — streaming visibility, not an error)
-        matched = _reconstruct_pcm(matched)
+        # kernels that validated it at ingest
+        matched = _reconstruct_pcm(payload, idx)
+    else:
+        # manual index join (Arrow's hash join rejects large_list
+        # payloads); null indices in `take` produce the null padding
+        matched = payload.take(pa.array(idx, mask=idx < 0))
     if "pcm_q" in matched.column_names:
         # transform-path fragments: merge the lossless int16 rows back
         # into one float32 pcm column (exact: ·2⁻¹⁵)
         matched = _merge_quantized_pcm(matched)
     out = light
     for c in matched.column_names:
-        if c == "seq":
-            continue
-        out = out.append_column(c, matched[c].combine_chunks())
+        if c != "seq":
+            out = out.append_column(c, matched[c])
     return out
 
 
-def _reconstruct_pcm(matched: pa.Table) -> pa.Table:
-    """(bytes, codec, sr_hz, …) payload rows → (pcm, …): decode the
-    non-null rows in one vectorized pass and scatter into a null-padded
-    ``large_list<float32>`` column, preserving the pre-passthrough
-    logical shape (bytes/codec/sr_hz dropped, pcm in their place)."""
-    import pyarrow.compute as pc2
+def _join_index(pseq: pa.ChunkedArray, lseq: pa.ChunkedArray) -> np.ndarray:
+    """Payload row of each finalize row's ``seq`` (-1: not committed)."""
+    ps = pseq.to_numpy()
+    order = np.argsort(ps, kind="stable")
+    ps = ps[order]
+    if len(ps) > 1 and (ps[1:] == ps[:-1]).any():
+        raise ValueError("cannot reindex on an axis with duplicate labels: "
+                         "the payload table repeats a seq")
+    ls = lseq.to_numpy()
+    pos = np.minimum(np.searchsorted(ps, ls), len(ps) - 1)
+    return np.where(ps[pos] == ls, order[pos], -1)
 
-    from ..audio import decode_batch
 
-    if "pcm" in matched.column_names:
+def _reconstruct_pcm(payload: pa.Table, idx: np.ndarray) -> pa.Table:
+    """(bytes, codec, sr_hz, n_samples, …) payload rows, joined by ``idx``
+    (payload row per output row, -1 = null row) → (pcm, n_samples, …) in
+    output order: the pre-passthrough logical shape (bytes/codec/sr_hz
+    dropped, pcm in their place).
+
+    One float32 buffer is allocated for every row's samples, sized from
+    the staged ``n_samples``; each payload row window then decodes on a
+    pool thread into its rows' spans.  A row that fails to decode, or
+    decodes to another length than staged, fails the read."""
+    from .. import audio
+
+    if "pcm" in payload.column_names:
         # passthrough (bytes) and transformed (pcm) fragments in one
         # payload table: the run was resumed into the same out root with
         # a different payload_transform
@@ -853,47 +869,66 @@ def _reconstruct_pcm(matched: pa.Table) -> pa.Table:
             "payload table mixes encoded 'bytes' and decoded 'pcm' "
             "fragments: the out root was resumed with a changed "
             "payload_transform; replicate into a fresh out root")
-    n = matched.num_rows
-    valid = pc2.is_valid(matched["bytes"]).to_numpy(zero_copy_only=False)
-    vi = np.flatnonzero(valid)
-    lengths = np.zeros(n, np.int64)
-    if len(vi):
-        sub = matched.take(pa.array(vi))
-        pcm, _err = decode_batch(
-            sub["bytes"].combine_chunks(), sub["codec"], sub["sr_hz"])
-        if _err.null_count != len(_err):
-            # every staged payload decoded cleanly at ingest — a re-decode
-            # failure here means corruption at rest; surface it loudly
-            # rather than returning silently-empty audio
-            bad = pc2.drop_null(_err).to_pylist()[:3]
-            raise ValueError(
-                f"payload fragment re-decode failed for "
-                f"{len(_err) - _err.null_count} rows (corruption at "
-                f"rest?): {bad}")
-        pcm = pcm.combine_chunks() if isinstance(pcm, pa.ChunkedArray) else pcm
-        flat = pcm.flatten()
-        offs = pcm.offsets.to_numpy(zero_copy_only=False)
-        lengths[vi] = np.diff(offs)
-        values = flat
-    else:
-        values = pa.array([], pa.float32())
+    n = len(idx)
+    has = pc.is_valid(payload["bytes"]).to_numpy(zero_copy_only=False)
+    valid = (idx >= 0) & has[np.maximum(idx, 0)]
+    want = payload["n_samples"].fill_null(-1).to_numpy()
+    lens = np.where(valid, want[idx], 0)
+    if (lens < 0).any():
+        raise ValueError("payload rows without n_samples cannot be decoded")
     offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    pcm_full = pa.LargeListArray.from_arrays(
-        pa.array(offsets, pa.int64()), values,
-        mask=pa.array(~valid) if (~valid).any() else None,
+    np.cumsum(lens, out=offsets[1:])
+    buf = np.empty(offsets[-1], np.float32)
+
+    # output rows grouped by payload row: a row window's rows are one run
+    rows = np.flatnonzero(valid)
+    rows = rows[np.argsort(idx[rows], kind="stable")]
+    src = idx[rows]
+    lt = read_threads()
+    win = max(1, -(-payload.num_rows // lt))
+    jobs, r0 = [], 0
+    for batch in payload.select(["bytes", "codec", "sr_hz"]).to_batches():
+        for w0 in range(0, batch.num_rows, win):
+            w = batch.slice(w0, win)
+            a, b = np.searchsorted(src, [r0 + w0, r0 + w0 + w.num_rows])
+            if b > a:
+                jobs.append((w, src[a:b] - (r0 + w0), rows[a:b]))
+        r0 += batch.num_rows
+
+    def decode(job):
+        w, local, dst = job
+        if len(local) != w.num_rows or (local != np.arange(len(local))).any():
+            w = w.take(pa.array(local))  # hidden or repeated payload rows
+        got, err = audio.decode_batch(
+            w["bytes"], w["codec"], w["sr_hz"],
+            out=buf, out_offsets=offsets[dst])
+        got = got.fill_null(-1).to_numpy()
+        errs = err.to_pylist()
+        return [e if e is not None else
+                f"decoded {g} samples, {lens[d]} staged"
+                for e, g, d in zip(errs, got, dst)
+                if e is not None or g != lens[d]]
+
+    with futures.ThreadPoolExecutor(max(1, min(len(jobs), lt))) as pool:
+        bad = [e for errs in pool.map(decode, jobs) for e in errs]
+    if bad:
+        # every staged payload decoded cleanly at ingest — a re-decode
+        # failure here means corruption at rest; surface it loudly
+        # rather than returning silently-empty audio
+        raise ValueError(
+            f"payload fragment re-decode failed for {len(bad)} rows "
+            f"(corruption at rest?): {bad[:3]}")
+    pcm = pa.LargeListArray.from_arrays(
+        pa.array(offsets, pa.int64()), pa.array(buf, pa.float32()),
+        mask=pa.array(~valid) if not valid.all() else None,
     )
-    out_cols, out_names = [], []
-    for c in matched.column_names:
+    cols = {}
+    for c in payload.column_names:
         if c == "bytes":
-            out_names.append("pcm")
-            out_cols.append(pcm_full)
-        elif c in ("codec", "sr_hz"):
-            continue
-        else:
-            out_names.append(c)
-            out_cols.append(matched[c].combine_chunks())
-    return pa.table(dict(zip(out_names, out_cols)))
+            cols["pcm"] = pcm
+        elif c not in ("codec", "sr_hz", "seq"):
+            cols[c] = payload[c].take(pa.array(idx, mask=idx < 0))
+    return pa.table(cols)
 
 
 def read_windows_live(out_root: str, kind: str = "windows"):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -726,6 +725,8 @@ def grouped_quantile(ds, group_cols: list[str], value_col: str,
         return t.append_column("__bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        import pandas as pd
+
         # groups whose values are ALL NULL still emit a row (with NULL
         # quantiles) — SQL aggregate semantics
         all_groups = g[group_cols].drop_duplicates()

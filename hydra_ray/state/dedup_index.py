@@ -53,7 +53,6 @@ import os
 import pickle
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 __all__ = ["DedupIndexState", "content_hash_of", "in_sorted"]
@@ -65,6 +64,8 @@ def content_hash_of(table: pa.Table, cols: tuple | list) -> np.ndarray:
     """Vectorized uint64 content hash (XOR across cols — the same rule as
     ``stages.dedup.add_content_hash``, shared so batch and streaming
     dedup agree on identity)."""
+    import pandas as pd
+
     h = np.zeros(table.num_rows, dtype=np.uint64)
     for c in cols:
         vals = table[c].to_numpy(zero_copy_only=False)

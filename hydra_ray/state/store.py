@@ -48,7 +48,6 @@ from collections import defaultdict
 from concurrent import futures
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -60,6 +59,17 @@ _I64MAX = np.iinfo(np.int64).max  # funnel chain: "step not reached"
 FUNNEL_KINDS = {"clip": 0, "update": 1, "delete": 2}
 
 __all__ = ["PartitionState", "StateHost", "StateHostActor", "WATERMARK_MAX"]
+
+
+def _isna_value(v) -> bool:
+    """``pd.isna`` for one transcript cell: None or a float NaN (pandas
+    stays off the state host's import)."""
+    return v is None or v != v
+
+
+def _isna(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``_isna_value`` over an object array."""
+    return np.fromiter(map(_isna_value, x), bool, len(x))
 
 
 def _bottomk_union(h1, v1, h2, v2, k: int):
@@ -708,7 +718,7 @@ class PartitionState:
                         table["transcript"].to_numpy(zero_copy_only=False), object
                     )[prim]
                     kinds = np.where(
-                        pd.isna(xx), np.int8(2), np.int8(1)
+                        _isna(xx), np.int8(2), np.int8(1)
                     ).astype(np.int8)  # tombstone → "delete", else "update"
                     self._funnel_append(kk, ts[prim], kinds)
         return {"n": n, "late": int(late.sum()), "max_ts": self.max_ts}
@@ -901,8 +911,8 @@ class PartitionState:
             prev, new = self._chg_prev[k], self.view[k]
             if prev == new:
                 continue
-            new_tomb = pd.isna(new[2])
-            prev_dead = prev is None or pd.isna(prev[2])
+            new_tomb = _isna_value(new[2])
+            prev_dead = prev is None or _isna_value(prev[2])
             if new_tomb and prev_dead:
                 continue
             op = ("delete" if new_tomb
@@ -992,7 +1002,7 @@ class PartitionState:
                 final_txt = orig.copy()
                 final_txt[match] = utext[best[match]]
                 deleted = np.zeros(len(ckeys), dtype=bool)
-                deleted[match] = pd.isna(utext[best[match]])
+                deleted[match] = _isna(utext[best[match]])
                 if self.cfg.temporal_join:
                     # temporal (as-of) probe: latest update with
                     # u.ts ≤ c.ts — the "right" bound of the same probe
@@ -1006,7 +1016,7 @@ class PartitionState:
                     best2 = order[np.maximum(hi2 - 1, 0)]
                     asof_txt = np.full(len(ckeys), None, dtype=object)
                     asof_txt[m2] = utext[best2[m2]]
-                    asof_txt[pd.isna(asof_txt)] = None  # tombstone → null
+                    asof_txt[_isna(asof_txt)] = None  # tombstone → null
                     asof_rev = np.where(m2, urev[best2], 0).astype(np.int64)
                     has_asof = m2
                 else:
@@ -1190,7 +1200,7 @@ class PartitionState:
         ukeys, uts, urev, utext = self._consolidated_updates()
         if not len(ukeys):
             return None
-        m = pd.Series(ukeys).isin(keys).to_numpy()
+        m = np.fromiter((k in keys for k in ukeys), bool, len(ukeys))
         if not m.any():
             return None
         return (ukeys[m], uts[m], urev[m], utext[m])

@@ -279,10 +279,16 @@ class Table:
                     schema = pa.schema([schema.field(c) for c in columns])
                 return schema.empty_table()
             return pa.table({})
-        return pa.concat_tables(
-            [pq.read_table(p, columns=columns) for p in paths],
-            promote_options="default",
-        )
+        if len(paths) == 1:
+            return pq.read_table(paths[0], columns=columns)
+        # one fragment per pool thread: Arrow's own pool follows
+        # OMP_NUM_THREADS, which Ray sets to 1
+        with futures.ThreadPoolExecutor(
+                min(len(paths), read_threads())) as pool:
+            tables = list(pool.map(
+                lambda p: pq.read_table(p, columns=columns, use_threads=False),
+                paths))
+        return pa.concat_tables(tables, promote_options="default")
 
     def count_rows(self, version: int | None = None) -> int:
         return sum(f.rows for f in self.fragments(version))
@@ -871,6 +877,14 @@ class Table:
                 )
             )
         return self._commit_fragments(frags)
+
+
+def read_threads() -> int:
+    """Threads for a read fan-out: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def stage_fragments(jobs: list, pool=None) -> list[FragmentMeta]:

@@ -70,15 +70,13 @@ def test_router_flush_stages_partitions_concurrently(tmp_path, monkeypatch):
     assert not router._pending
 
 
-def test_router_flush_reads_the_schema_once(tmp_path):
+def test_router_flush_reads_the_schema_once(tmp_path, meter_tok):
     """P payload fragments cost P data PUTs and ONE schema read (a LIST
     and a GET of the manifest log), however many threads stage them."""
     from hydra_ray.fs import meter_counts, metered_root
 
-    from tests.test_storagefs import _tok
-
     P = 6
-    tok = _tok("flush")
+    tok = meter_tok("flush")
     # 20 ms per op: the schema read is still in flight when the other
     # threads start, as on a real object store
     payload = Table.create(metered_root(str(tmp_path / "payload"), token=tok,

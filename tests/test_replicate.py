@@ -997,6 +997,50 @@ def test_quantized_pcm_staging_bit_exact(tmp_path, ray_session, clean_run):
         assert np.array_equal(g.view(np.uint32), r.view(np.uint32)), i
 
 
+def test_read_replicated_raises_on_corruption_at_rest(tmp_path, clean_run):
+    """A committed payload fragment whose wav header was damaged after
+    the commit fails the read loudly instead of returning empty audio."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from hydra_ray.pipelines.replicate import read_replicated
+
+    out = str(tmp_path / "out")
+    shutil.copytree(f"{clean_run[0]}/out", out)
+    shown = set(Table(f"{out}/replicated").to_arrow()["seq"].to_pylist())
+    for frag in Table(f"{out}/payload").fragments():
+        path = os.path.join(out, "payload", frag.path)
+        heavy = pq.read_table(path)
+        rows = [i for i, (s, c) in enumerate(zip(
+            heavy["seq"].to_pylist(), heavy["codec"].to_pylist()))
+            if c == "wav" and s in shown]
+        if rows:
+            break
+    raw = heavy["bytes"].to_pylist()
+    assert raw[rows[0]][:4] == b"RIFF"
+    raw[rows[0]] = b"RIFX" + raw[rows[0]][4:]
+    i = heavy.column_names.index("bytes")
+    pq.write_table(heavy.set_column(
+        i, heavy.field(i), pa.array(raw, heavy.field(i).type)), path)
+    with pytest.raises(ValueError, match="re-decode failed for 1 rows.*RIFF"):
+        read_replicated(out)
+
+
+def test_state_store_imports_without_pandas():
+    """A state host's module imports without pandas (0.3 s of a host's
+    start); the check runs in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    code = ("import sys, hydra_ray.state.store; "
+            "sys.exit('pandas' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True,
+                       cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert r.returncode == 0, r.stderr or "pandas was imported"
+
+
 def test_reconstruct_pcm_refuses_mixed_fragments():
     """A payload table with both passthrough ``bytes`` and transformed
     ``pcm`` fragments (a resume with a changed payload_transform) raises
@@ -1018,4 +1062,4 @@ def test_reconstruct_pcm_refuses_mixed_fragments():
         "n_samples": pa.array([1, 50], pa.int32()),
     })
     with pytest.raises(ValueError, match="payload_transform"):
-        _reconstruct_pcm(matched)
+        _reconstruct_pcm(matched, np.arange(2))

@@ -3,7 +3,6 @@ object-store shim, and the lancelite commit protocol replayed verbatim
 against the shim (no rename, no in-place overwrite anywhere)."""
 
 import os
-import uuid
 
 import pyarrow as pa
 import pytest
@@ -12,13 +11,6 @@ from hydra_ray.fs import LocalFS, StrictObjectFS, resolve, with_scheme
 from hydra_ray.table import Table
 
 import tests.test_lancelite as tl
-
-
-def _tok(prefix: str) -> str:
-    """A metered-op token unique to this test run: ``meter_counts`` reads
-    every log ever written under a token, so a fixed token would also
-    count the ops of an earlier run that used it."""
-    return prefix + uuid.uuid4().hex[:8]
 
 
 # ---------------------------------------------------------------- fs unit
@@ -237,14 +229,15 @@ def _classify_for(base):
     return classify
 
 
-def test_metered_latency_and_log(tmp_path):
+def test_metered_latency_and_log(tmp_path, meter_tok):
     """The metered shim injects per-op latency and logs every primitive
     op with cross-process-aggregatable counters."""
     import time
 
     from hydra_ray.fs import meter_counts, metered_root, resolve
 
-    root = metered_root(str(tmp_path / "m"), latency_ms=20)
+    root = metered_root(str(tmp_path / "m"), token=meter_tok("lat20"),
+                        latency_ms=20)
     fs, base = resolve(root)
     t0 = time.time()
     fs.put(os.path.join(base, "a"), b"x")
@@ -256,7 +249,7 @@ def test_metered_latency_and_log(tmp_path):
     assert counts["put"] == 1 and counts["get"] == 1 and counts["head"] == 1
 
 
-def test_epoch_commit_op_complexity(tmp_path):
+def test_epoch_commit_op_complexity(tmp_path, meter_tok):
     """An epoch commit must be O(1) manifest ops + O(fragments) data
     PUTs — measured, not assumed: the SAME manifest-op counts at 2 and
     8 fragments (a chatty protocol would scale them)."""
@@ -264,7 +257,7 @@ def test_epoch_commit_op_complexity(tmp_path):
 
     results = {}
     for nfrag in (2, 8):
-        tok = _tok(f"epoch{nfrag}")
+        tok = meter_tok(f"epoch{nfrag}")
         root = metered_root(str(tmp_path / f"t{nfrag}"), token=tok)
         t = Table.create(root)
         staged = [
@@ -291,12 +284,12 @@ def test_epoch_commit_op_complexity(tmp_path):
     assert m2 == m8, (m2, m8)
 
 
-def test_gc_staged_op_count(tmp_path):
+def test_gc_staged_op_count(tmp_path, meter_tok):
     """Orphan GC at every ``run()`` start costs one LIST of the manifest
     log and one of ``data/`` per sink table, nothing more."""
     from hydra_ray.fs import meter_counts, metered_root
 
-    tok = _tok("gcstaged")
+    tok = meter_tok("gcstaged")
     t = Table.create(metered_root(str(tmp_path / "t"), token=tok))
     before = meter_counts(tok)
     assert t.gc_staged() == 0
@@ -304,7 +297,8 @@ def test_gc_staged_op_count(tmp_path):
     assert after.get("list", 0) - before.get("list", 0) == 2
 
 
-def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
+def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session,
+                                                 meter_tok):
     """The headline streaming pipeline and the partitioned sink must
     keep their MANIFEST op counts independent of the data volume: run
     each at n and ~2n rows (same epoch/partition structure) and assert
@@ -321,7 +315,7 @@ def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     # ---- headline pipeline at two scales, same epoch count
     pipe_counts = {}
     for n_clips in (400, 800):
-        tok = _tok(f"repl{n_clips}")
+        tok = meter_tok(f"repl{n_clips}")
         root = metered_root(str(tmp_path / f"r{n_clips}"), token=tok)
         clips = synth_clips_table(n_clips)
         ct = Table.create(f"{root}/clips", schema=clips.schema)
@@ -347,7 +341,7 @@ def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     # ---- partitioned sink at two scales, same partition count
     sink_counts = {}
     for n in (2_000, 4_000):
-        tok = _tok(f"sink{n}")
+        tok = meter_tok(f"sink{n}")
         root = metered_root(str(tmp_path / f"s{n}"), token=tok)
         ds = rd.range(n).map_batches(
             lambda b: pa.table({"k": b["id"], "v": b["id"]}),
@@ -359,7 +353,7 @@ def test_streaming_epoch_and_sink_op_complexity(tmp_path, ray_session):
     assert sink_counts[2_000] == sink_counts[4_000], sink_counts
 
 
-def test_streaming_under_injected_latency(tmp_path, ray_session):
+def test_streaming_under_injected_latency(tmp_path, ray_session, meter_tok):
     """The whole streaming pipeline on a metered backend with 5 ms
     per-op latency: output byte-identical to the local run and wall
     clock bounded — the latency-tolerance consequence of the O(1)
@@ -380,7 +374,8 @@ def test_streaming_under_injected_latency(tmp_path, ray_session):
     base = time.time() - t0
     sig = tr._content_signature(f"{lroot}/out")
 
-    mroot = metered_root(str(tmp_path / "lat"), token=_tok("lat5"), latency_ms=5)
+    mroot = metered_root(str(tmp_path / "lat"), token=meter_tok("lat5"),
+                         latency_ms=5)
     tr.build_sources(mroot)
     t0 = time.time()
     ReplicatePipeline(f"{mroot}/clips", f"{mroot}/out", tr.cfg(),
@@ -392,7 +387,7 @@ def test_streaming_under_injected_latency(tmp_path, ray_session):
     assert lat < base * 3 + 10, (base, lat)
 
 
-def test_metered_log_thread_safe(tmp_path):
+def test_metered_log_thread_safe(tmp_path, meter_tok):
     """Threads of one process share a metered backend's op log (the
     driver's concurrent sink commits do): every op of every thread is
     counted exactly once, starting from the lazy first open."""
@@ -401,7 +396,7 @@ def test_metered_log_thread_safe(tmp_path):
 
     from hydra_ray.fs import meter_counts, metered_root
 
-    root = metered_root(str(tmp_path / "m"))
+    root = metered_root(str(tmp_path / "m"), token=meter_tok("threads"))
     tok = root.split("-")[1]
     fs, base = resolve(root)
     n_threads, n_ops = 16, 300
@@ -430,7 +425,7 @@ def test_metered_log_thread_safe(tmp_path):
                                  "head": n_threads * n_ops}
 
 
-def test_checkpoint_gc_issues_deletes_only(tmp_path, ray_session):
+def test_checkpoint_gc_issues_deletes_only(tmp_path, ray_session, meter_tok):
     """Checkpoint GC runs in each partition, dedup-shard and neardup-shard
     actor from what it wrote: no HEAD/LIST on ``_checkpoints/`` at any
     epoch (the same zero at 3 and 6 source versions), and exactly one
@@ -450,7 +445,7 @@ def test_checkpoint_gc_issues_deletes_only(tmp_path, ray_session):
     )
     dirs = ["p0000", "p0001", "d0000", "d0001", "n0000", "n0001"]
     for versions in (3, 6):
-        tok = _tok(f"ckgc{versions}")
+        tok = meter_tok(f"ckgc{versions}")
         root = str(tmp_path / f"v{versions}")
         clips = synth_clips_table(20 * versions)
         ct = Table.create(f"{root}/clips", schema=clips.schema)
