@@ -47,9 +47,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import fs as _fs
-from ..hashing import hash64, partition_for
+from ..hashing import partition_for
 from ..stages.decode import AudioDecoder
-from ..stages.skew import salted_partition_for
+from ..stages.skew import hot_mask, salt_partitions, salted_partition_for
 from ..state.store import (
     WATERMARK_MAX,
     PartitionState,
@@ -216,22 +216,24 @@ class ReplicateConfig:
     # exactly-once through the same staged-fragment 2PC as every sink.
     changelog: bool = False
     # per-clip audio features (rms/peak/zcr/clip_ratio/dom_freq_hz)
-    # computed inside the decode task and carried on the payload fragment
-    # — read_replicated surfaces them on every emitted row with zero
-    # extra object-store traffic (the feature pass reuses the PCM that
-    # is already hot in the ingest worker)
+    # computed inside the decode task over the audio the payload stores
+    # (the TRANSFORMED pcm when payload_transform is set) and carried on
+    # the payload fragment — read_replicated surfaces them on every
+    # emitted row with zero extra object-store traffic
     audio_features: bool = False
     # pooled log-mel filterbank features (fbank_mean/fbank_std 16-band
     # fixed-size lists + n_frames) on the payload fragments — the
     # streaming form of `stages/audio_features.audio_fbank`; composes
-    # with audio_features and follows the same transform rule (computed
-    # on the TRANSFORMED payload when payload_transform is set)
+    # with audio_features and describes the same stored audio
     audio_fbank: bool = False
     # payload transform hook (§2.11 extension surface): a DETERMINISTIC
     # callable applied to each staged heavy slice (columns seq, pcm,
-    # n_samples, sr_hz) before it is written — curation at ingest
+    # sr_hz, n_samples) before it is written — curation at ingest
     # (e.g. `trim_payload` = silence trimming).  Must be a pure function
-    # of the rows (replay idempotence) and preserve seq/pcm/n_samples.
+    # of the rows (replay idempotence), keep seq/sr_hz and return
+    # n_samples equal to each row's pcm length (staging raises
+    # otherwise).  The output pcm stages encoded (`encode_pcm`: pcm16
+    # where that is bit-exact, else f32); extra columns ride along.
     payload_transform: object | None = None
     # payload FILTER hook (curation-at-ingest gating): a DETERMINISTIC
     # callable over the decoded clip batch returning a boolean keep mask
@@ -262,13 +264,16 @@ class _Router:
     """The ingest task's route kernel: (decode →) partition slices →
     heavy payload STAGED STRAIGHT TO THE SINK, light rows → state hosts.
 
-    The heavy decoded PCM takes the shortest possible path — read block →
+    The heavy payload takes the shortest possible path — read block →
     decode in-task → staged parquet fragment per (epoch, partition) —
     and never transits the object store again, never sits in actor state,
-    never re-writes at checkpoint.  Only the light columns (ids,
-    timestamps, transcript, error) go to the partitions' state hosts
-    (``handles[p]`` runs partition p; one ingest RPC per host per batch),
-    which manage windows/join/late semantics and later emit light
+    never re-writes at checkpoint.  Every payload fragment has one
+    layout: encoded audio (``seq, bytes, codec, sr_hz, n_samples``) plus
+    the config's enrichment columns (``_payload_slice``).  Only the
+    light columns (ids, timestamps, transcript, error) go to the
+    partitions' state hosts (``handles[p]`` runs partition p; one ingest
+    RPC per host per batch), which manage windows/join/late semantics
+    and later emit light
     "finalize" rows; the logical replicated output is payload ⨝ finalize
     on ``seq`` (see ``read_replicated``).  This is the 100 TB-correct
     layout: state stores hold megabytes while the data plane streams
@@ -352,10 +357,8 @@ class _Router:
                 if len(tables) == 1
                 else pa.concat_tables(tables, promote_options="default")
             )
-            # passthrough fragments hold already-encoded audio bytes —
-            # snappy would scan them for nothing; PCM fragments keep it
-            comp = (None if "bytes" in heavy.column_names else "snappy")
-            jobs.append((payload_tbl, heavy, self.epoch, p, comp))
+            # encoded audio: compression would scan it for nothing
+            jobs.append((payload_tbl, heavy, self.epoch, p, None))
         # one fragment per partition, their PUTs in flight together
         frags = {p: json.dumps(frag.to_json())
                  for p, frag in zip(parts, stage_fragments(jobs))}
@@ -419,19 +422,22 @@ class _Router:
             )
         else:
             parts = partition_for(keys, P)
+        if kind == "clips":
+            # the same deterministic will-emit predicate the state host
+            # applies: it gates the funnel fan-out and payload staging
+            ok = pc.is_null(batch["decode_error"]).to_numpy(
+                zero_copy_only=False)
+            ok &= _ts_to_ms(batch["event_ts"]) >= wm
+            if filt is not None:
+                ok &= ~filt
         # (host, (slot, kind, table)) slices for this batch's ingest RPCs
         items = []
         if kind == "clips" and self.funnel_on and hot_keys:
             # funnel state lives on the HOME partition only (per-key
             # sequential chain — never salted); fan the light funnel rows
-            # of salted-away clips home, pre-filtered to the same
-            # will-emit predicate the actor applies
+            # of salted-away clips that will emit home
             home = partition_for(keys, P)
-            fok = pc.is_null(batch["decode_error"]).to_numpy(zero_copy_only=False)
-            fok &= _ts_to_ms(batch["event_ts"]) >= wm
-            if filt is not None:
-                fok &= ~filt
-            diff = np.flatnonzero(fok & (home != parts))
+            diff = np.flatnonzero(ok & (home != parts))
             if len(diff):
                 mini = batch.select(["clip_id", "event_ts"]).take(pa.array(diff))
                 hp = home[diff]
@@ -446,20 +452,10 @@ class _Router:
             # (the home copy stays primary; replicas feed join/view state
             # but are excluded from DLQ/metrics accounting)
             keys_np = np.asarray(keys.to_numpy(zero_copy_only=False), dtype=object)
-            import pandas as _pd
-
-            hm = _pd.Series(keys_np).isin(hot_keys).to_numpy()
-            if hm.any():
-                hrows = np.flatnonzero(hm)
-                hkeys = keys_np[hrows].astype(str)
-                rep_rows, rep_parts = [], []
-                for s in range(n_salts):
-                    salted = np.char.add(hkeys, f"#{s}").astype(object)
-                    ps = (hash64(salted) % np.uint64(P)).astype(np.int64)
-                    rep_rows.append(hrows)
-                    rep_parts.append(ps)
-                rr = np.concatenate(rep_rows)
-                rp = np.concatenate(rep_parts)
+            hrows = np.flatnonzero(hot_mask(keys_np, hot_keys))
+            if len(hrows):
+                rr = np.repeat(hrows, n_salts)
+                rp = salt_partitions(keys_np[hrows], P, n_salts).reshape(-1)
                 keep = rp != parts[rr]         # home copy is the primary
                 combo = np.unique(rr[keep].astype(np.int64) * P + rp[keep])
                 rr, rp = combo // P, combo % P
@@ -467,52 +463,6 @@ class _Router:
         light = batch.drop_columns([c for c in HEAVY_COLS if c in batch.column_names])
         if ch is not None:
             light = light.append_column("content_h", pa.array(ch, pa.uint64()))
-        feat_cols: dict[str, np.ndarray] = {}
-        fb_mean = fb_std = fb_nf = None
-        if payload_root is not None:
-            # same deterministic will-emit predicate the state actor applies
-            ok = pc.is_null(batch["decode_error"]).to_numpy(zero_copy_only=False)
-            ok &= _ts_to_ms(batch["event_ts"]) >= wm
-            if filt is not None:
-                ok &= ~filt
-            if self.features and ok.any() and self.payload_transform is None:
-                # per-clip audio features computed IN the decode task (the
-                # PCM is already hot in this worker's cache) and carried on
-                # the payload fragment — read_replicated surfaces them on
-                # every emitted row, and the feature pass adds zero extra
-                # object-store traffic.  With a payload_transform the
-                # features must instead describe the TRANSFORMED payload
-                # (the audio actually stored), so they are computed
-                # post-transform in the partition loop below (ADVICE r2).
-                from ..stages.audio_features import audio_features
-
-                oki = np.flatnonzero(ok)
-                f = audio_features(
-                    batch.select(["pcm", "sr_hz"]).take(pa.array(oki))
-                )
-                for name in ("rms", "peak", "zero_cross_rate",
-                             "clip_ratio", "dom_freq_hz"):
-                    full = np.full(batch.num_rows, np.nan)
-                    full[oki] = f[name].to_numpy(zero_copy_only=False)
-                    feat_cols[name] = full
-            if self.fbank and ok.any() and self.payload_transform is None:
-                from ..stages.audio_features import audio_fbank
-
-                oki = np.flatnonzero(ok)
-                fbt = audio_fbank(
-                    batch.select(["pcm", "sr_hz"]).take(pa.array(oki))
-                )
-                n_mels = 16
-                fb_mean = np.zeros((batch.num_rows, n_mels), np.float32)
-                fb_std = np.zeros((batch.num_rows, n_mels), np.float32)
-                fb_nf = np.zeros(batch.num_rows, np.int64)
-                fb_mean[oki] = np.asarray(
-                    fbt["fbank_mean"].combine_chunks().flatten()
-                ).reshape(-1, n_mels)
-                fb_std[oki] = np.asarray(
-                    fbt["fbank_std"].combine_chunks().flatten()
-                ).reshape(-1, n_mels)
-                fb_nf[oki] = fbt["n_frames"].to_numpy(zero_copy_only=False)
         all_parts = np.union1d(
             np.unique(parts), np.array(sorted(replica_rows), dtype=parts.dtype)
         )
@@ -531,82 +481,11 @@ class _Router:
         # pipelined e+1 ingests can never leak into close(e) state or its
         # checkpoint (which would double-ingest after a crash)
         acked = call_hosts("ingest", items, wm, epoch, wait=False)
-        for p in all_parts:
-            if payload_root is not None:
+        if payload_root is not None:
+            for p in all_parts:
                 keep = np.flatnonzero(ok & (parts == p))
                 if len(keep):
-                    xform = self.payload_transform
-                    if xform is None and "bytes" in batch.column_names:
-                        # PASSTHROUGH staging (bytes-per-clip lever): the
-                        # source's ENCODED payload (1–4 B/sample) stages
-                        # instead of the decoded float32 PCM (4 B/sample)
-                        # — decode still ran (validation, features), but
-                        # its full-width output never leaves this task;
-                        # read_replicated re-decodes bit-identically
-                        # through the same LUT kernels on demand.
-                        cols = ["seq", "bytes", "codec", "sr_hz",
-                                "n_samples"]
-                    else:
-                        cols = ["seq", "pcm", "n_samples"] + (
-                            ["sr_hz"] if xform is not None else []
-                        )
-                    heavy = batch.select(cols).take(pa.array(keep))
-                    if xform is not None:
-                        heavy = xform(heavy)
-                        if self.features:
-                            # features over the TRANSFORMED PCM — they must
-                            # describe the stored payload, not the
-                            # as-decoded clip (e.g. trim_payload removes
-                            # the silence rms/dom_freq would otherwise
-                            # include)
-                            from ..stages.audio_features import (
-                                audio_features,
-                            )
-
-                            f = audio_features(
-                                heavy.select(["pcm", "sr_hz"])
-                            )
-                            for name in ("rms", "peak", "zero_cross_rate",
-                                         "clip_ratio", "dom_freq_hz"):
-                                heavy = heavy.append_column(
-                                    name,
-                                    pa.array(
-                                        f[name].to_numpy(
-                                            zero_copy_only=False
-                                        ),
-                                        pa.float64(),
-                                    ),
-                                )
-                        if self.fbank:
-                            from ..stages.audio_features import audio_fbank
-
-                            fbt = audio_fbank(
-                                heavy.select(["pcm", "sr_hz"])
-                            )
-                            for name in ("fbank_mean", "fbank_std",
-                                         "n_frames"):
-                                heavy = heavy.append_column(
-                                    name, fbt[name]
-                                )
-                    for name, full in feat_cols.items():
-                        heavy = heavy.append_column(
-                            name, pa.array(full[keep], pa.float64())
-                        )
-                    if fb_mean is not None:
-                        heavy = heavy.append_column(
-                            "fbank_mean",
-                            pa.FixedSizeListArray.from_arrays(
-                                pa.array(fb_mean[keep].reshape(-1),
-                                         pa.float32()), 16))
-                        heavy = heavy.append_column(
-                            "fbank_std",
-                            pa.FixedSizeListArray.from_arrays(
-                                pa.array(fb_std[keep].reshape(-1),
-                                         pa.float32()), 16))
-                        heavy = heavy.append_column(
-                            "n_frames", pa.array(fb_nf[keep], pa.int64()))
-                    if "pcm" in heavy.column_names:
-                        heavy = _quantize_pcm_lossless(heavy)
+                    heavy = self._payload_slice(batch, keep)
                     self._pending.setdefault(int(p), []).append(heavy)
                     self._pbytes += heavy.nbytes
         if self._pbytes >= self.flush_bytes:
@@ -616,6 +495,79 @@ class _Router:
              "late": a["late"], "max_ts": a["max_ts"]}
             for p, a in zip(all_parts, acked()[n_funnel:])
         ]
+
+    def _payload_slice(self, batch: pa.Table, rows: np.ndarray) -> pa.Table:
+        """One partition's payload rows: ``seq, bytes, codec, sr_hz,
+        n_samples`` plus the enrichment columns (the transform's own and
+        the audio features, computed over the audio that is stored).
+
+        Without a transform the source's encoded bytes stage as they
+        arrived (1–4 B/sample); read_replicated re-decodes them
+        bit-identically through the same kernels.  A transform's output
+        ``pcm`` is encoded with ``encode_pcm``."""
+        xform = self.payload_transform
+        if xform is not None:
+            cols = ["seq", "pcm", "sr_hz", "n_samples"]
+        else:
+            cols = ["seq", "bytes", "codec", "sr_hz", "n_samples"] + (
+                ["pcm"] if self.features or self.fbank else [])
+        heavy = batch.select(cols).take(pa.array(rows))
+        if xform is not None:
+            heavy = xform(heavy)
+            if pc.any(pc.not_equal(pc.list_value_length(heavy["pcm"]),
+                                   heavy["n_samples"].fill_null(-1))).as_py():
+                raise ValueError(
+                    "payload_transform returned rows whose n_samples "
+                    "differs from their pcm length")
+        if self.features:
+            from ..stages.audio_features import audio_features
+
+            heavy = audio_features(heavy)
+        if self.fbank:
+            from ..stages.audio_features import audio_fbank
+
+            heavy = audio_fbank(heavy)
+        if xform is None:
+            return (heavy.drop_columns(["pcm"])
+                    if "pcm" in heavy.column_names else heavy)
+        raw, codec = encode_pcm(heavy["pcm"], batch.schema.field("bytes").type)
+        i = heavy.schema.get_field_index("pcm")
+        return heavy.set_column(i, "bytes", raw).add_column(i + 1, "codec",
+                                                            codec)
+
+
+def encode_pcm(pcm, bytes_type=pa.large_binary()) -> tuple[pa.Array, pa.Array]:
+    """Decoded ``pcm`` rows → ``(bytes, codec)`` that ``decode_batch``
+    reads back bit-identically.  A row is ``pcm16`` (its ``rint(x·32767)``
+    int16 samples, 2 B/sample) when every sample reconstructs exactly
+    under decode's ``int16·float32(1/32767)``, the row is non-empty and
+    holds no ``-0.0`` (int16 0 decodes to +0.0); otherwise raw ``f32``.
+    Null rows stay null."""
+    if isinstance(pcm, pa.ChunkedArray):
+        pcm = pcm.combine_chunks()
+    offs = pcm.offsets.to_numpy(zero_copy_only=False)
+    # .values, not .flatten(): aligned with the offsets buffer
+    flat = np.asarray(pcm.values, dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.rint(flat * np.float32(32767.0))
+        exact = ((np.abs(q) <= np.float32(32767.0))
+                 & (q * np.float32(1.0 / 32767.0) == flat)
+                 & ~(np.signbit(flat) & (flat == 0)))
+    n_off = np.zeros(len(flat) + 1, np.int64)
+    np.cumsum(~exact, out=n_off[1:])          # off-grid samples before i
+    raw, codec = [], []
+    for i, v in enumerate(pcm.is_valid().to_numpy(zero_copy_only=False)):
+        s, e = offs[i], offs[i + 1]
+        if not v:
+            raw.append(None)
+            codec.append(None)
+        elif e > s and n_off[e] == n_off[s]:
+            raw.append(q[s:e].astype("<i2").tobytes())
+            codec.append("pcm16")
+        else:
+            raw.append(flat[s:e].astype("<f4").tobytes())
+            codec.append("f32")
+    return pa.array(raw, bytes_type), pa.array(codec, pa.string())
 
 
 _INGEST_TASK = None
@@ -652,125 +604,6 @@ def _ingest_task_fn():
     return _INGEST_TASK
 
 
-def _quantize_pcm_lossless(heavy: pa.Table) -> pa.Table:
-    """Transform-path bytes lever: rows whose float32 pcm still sits on
-    the int16 grid (value·32768 integral, |·| ≤ 32767 — true for every
-    slice-style transform like trim over int16-origin sources; false
-    after gain scaling or for f32-codec sources) store as
-    ``pcm_q: large_list<int16>`` (2 B/sample) with ``pcm`` nulled; the
-    rest keep float32 ``pcm``.  Both columns exist in every fragment
-    (stable schema for concat/compaction); reconstruction multiplies by
-    the decode constant float32(1/32767) — verified exact per element
-    at quantize time, so the round trip is bit-identical.  One multiply
-    + compare pass per batch decides; per-row, never per-fragment."""
-    pcm = heavy["pcm"].combine_chunks()
-    # .values (not .flatten()): aligned with the offsets buffer even if
-    # null or sliced rows appear — flatten() compacts values and would
-    # misalign the span math
-    flat = np.asarray(pcm.values, dtype=np.float32)
-    offs = pcm.offsets.to_numpy(zero_copy_only=False)
-    n = len(pcm)
-    # verify-by-roundtrip against the decode contract's own constant
-    # (decode_batch: pcm = int16 · float32(1/32767)): a row qualifies
-    # iff every sample reconstructs BIT-exactly from its nearest int16
-    # under that same multiply.  pcm16/wav/flac/adpcm sources (and any
-    # slice transform of them) qualify; mulaw/alaw/pcm8/f32 grids and
-    # gain-scaled audio fall back to float32 automatically.
-    inv = np.float32(1.0 / 32767.0)
-    nh = np.rint(flat * np.float32(32767.0))
-    elem_ok = (np.abs(nh) <= np.float32(32767.0)) & (
-        nh.astype(np.float32) * inv == flat)
-    # -0.0 compares equal to +0.0 but reconstructs as +0.0 — exclude it
-    # or the bit-identity contract breaks (review-found)
-    elem_ok &= ~np.signbit(flat) | (flat != np.float32(0.0))
-    lens = np.diff(offs)
-    # per-row all(): count of ok elements == row length
-    row_ok = np.add.reduceat(
-        elem_ok, offs[:-1].clip(0, max(len(elem_ok) - 1, 0))
-    ) == lens if len(elem_ok) else np.zeros(n, bool)
-    row_ok &= lens > 0  # empty rows stay on the float side (no benefit)
-    valid = np.asarray(pc.is_valid(pcm))
-    row_ok &= valid
-    if not row_ok.any():
-        return heavy.append_column(
-            "pcm_q", pa.nulls(n, pa.large_list(pa.int16())))
-    # pcm_q: qualifying rows' samples as int16
-    q_lens = np.where(row_ok, lens, 0)
-    q_offs = np.zeros(n + 1, np.int64)
-    np.cumsum(q_lens, out=q_offs[1:])
-    take = _span_gather_idx(offs[:-1][row_ok], lens[row_ok])
-    q_flat = nh[take].astype(np.int16)
-    pcm_q = pa.LargeListArray.from_arrays(
-        pa.array(q_offs, pa.int64()), pa.array(q_flat, pa.int16()),
-        mask=pa.array(~row_ok),
-    )
-    # pcm: remaining rows only (quantized rows null out)
-    f_keep = valid & ~row_ok
-    f_lens = np.where(f_keep, lens, 0)
-    f_offs = np.zeros(n + 1, np.int64)
-    np.cumsum(f_lens, out=f_offs[1:])
-    take_f = _span_gather_idx(offs[:-1][f_keep], lens[f_keep])
-    pcm_f = pa.LargeListArray.from_arrays(
-        pa.array(f_offs, pa.int64()),
-        pa.array(flat[take_f], pa.float32()),
-        mask=pa.array(~f_keep) if not f_keep.all() else None,
-    )
-    i = heavy.schema.get_field_index("pcm")
-    return heavy.set_column(i, "pcm", pcm_f).append_column("pcm_q", pcm_q)
-
-
-def _merge_quantized_pcm(matched: pa.Table) -> pa.Table:
-    """(pcm: float32|null, pcm_q: int16|null) → one float32 ``pcm``
-    column — the read-side inverse of ``_quantize_pcm_lossless``
-    (·float32(1/32767), the decode constant).  Rows null in BOTH stay
-    null (in-flight padding)."""
-    pf = matched["pcm"].combine_chunks()
-    pq_ = matched["pcm_q"].combine_chunks()
-    n = len(pf)
-    vf = np.asarray(pc.is_valid(pf))
-    vq = np.asarray(pc.is_valid(pq_))
-    f_flat = np.asarray(pf.values, dtype=np.float32)
-    f_offs = pf.offsets.to_numpy(zero_copy_only=False)
-    q_flat = np.asarray(pq_.values, dtype=np.int16)
-    q_offs = pq_.offsets.to_numpy(zero_copy_only=False)
-    f_lens = np.where(vf, np.diff(f_offs), 0)
-    q_lens = np.where(vq, np.diff(q_offs), 0)
-    lens = f_lens + q_lens  # disjoint by construction
-    offs = np.zeros(n + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    out = np.empty(offs[-1], np.float32)
-    tgt_f = _span_gather_idx(offs[:-1][vf], f_lens[vf])
-    src_f = _span_gather_idx(f_offs[:-1][vf], f_lens[vf])
-    out[tgt_f] = f_flat[src_f]
-    tgt_q = _span_gather_idx(offs[:-1][vq], q_lens[vq])
-    src_q = _span_gather_idx(q_offs[:-1][vq], q_lens[vq])
-    out[tgt_q] = q_flat[src_q].astype(np.float32) * np.float32(1.0 / 32767.0)
-    merged = pa.LargeListArray.from_arrays(
-        pa.array(offs, pa.int64()), pa.array(out, pa.float32()),
-        mask=pa.array(~(vf | vq)) if not (vf | vq).all() else None,
-    )
-    i = matched.schema.get_field_index("pcm")
-    return matched.set_column(i, "pcm", merged).drop_columns(["pcm_q"])
-
-
-def _span_gather_idx(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat gather indices for variable-length spans: concat of
-    [start, start+len) ranges — the arange/repeat pattern.  Zero-length
-    spans contribute nothing (they would otherwise corrupt the
-    difference seeding — found by the hypothesis roundtrip property)."""
-    m = lens > 0
-    if not m.all():
-        starts, lens = starts[m], lens[m]
-    if not len(starts):
-        return np.empty(0, np.int64)
-    total = int(lens.sum())
-    out = np.ones(total, np.int64)
-    ends = np.cumsum(lens)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    return np.cumsum(out)
-
-
 def trim_payload(heavy: pa.Table) -> pa.Table:
     """Shipped ``payload_transform``: trim leading/trailing silence from
     each staged clip (frame-RMS span, `audio_curation.trim_silence`),
@@ -800,11 +633,13 @@ def read_replicated(out_root: str, with_payload: bool = True) -> pa.Table:
     streaming visibility semantics, never an error.
 
     The two tables are read concurrently, each fragment on its own pool
-    thread.  Passthrough payload (encoded ``bytes``) is decoded in one
-    pass: one float32 buffer sized from the staged ``n_samples`` holds
-    the whole ``pcm`` column in finalize-row order, and each payload row
-    window decodes on a pool thread straight into its rows' spans — no
-    copy of the encoded bytes, none of the decoded samples.
+    thread.  Every payload fragment holds encoded audio (``bytes`` +
+    ``codec``: the source's own, or ``pcm16``/``f32`` for a transformed
+    payload), decoded in one pass: one float32 buffer sized from the
+    staged ``n_samples`` holds the whole ``pcm`` column in finalize-row
+    order, and each payload row window decodes on a pool thread straight
+    into its rows' spans — no copy of the encoded bytes, none of the
+    decoded samples.
     """
     light_t = Table(os.path.join(out_root, "replicated"))
     if not with_payload:
@@ -815,20 +650,14 @@ def read_replicated(out_root: str, with_payload: bool = True) -> pa.Table:
         light = light_f.result()
     if payload.num_rows == 0:
         return light
-    idx = _join_index(payload["seq"], light["seq"])
-    if "bytes" in payload.column_names:
-        # passthrough fragments hold the ENCODED source payload; rebuild
-        # the decoded pcm here, bit-identically through the same decode
-        # kernels that validated it at ingest
-        matched = _reconstruct_pcm(payload, idx)
-    else:
-        # manual index join (Arrow's hash join rejects large_list
-        # payloads); null indices in `take` produce the null padding
-        matched = payload.take(pa.array(idx, mask=idx < 0))
-    if "pcm_q" in matched.column_names:
-        # transform-path fragments: merge the lossless int16 rows back
-        # into one float32 pcm column (exact: ·2⁻¹⁵)
-        matched = _merge_quantized_pcm(matched)
+    if "pcm" in payload.column_names:
+        # decoded-pcm fragments (the transformed-payload layout before
+        # every payload staged encoded): reading on would null their rows
+        raise ValueError(
+            "payload table holds decoded 'pcm' fragments, a layout this "
+            "reader does not read; replicate into a fresh out root")
+    matched = _reconstruct_pcm(payload, _join_index(payload["seq"],
+                                                    light["seq"]))
     out = light
     for c in matched.column_names:
         if c != "seq":
@@ -852,8 +681,8 @@ def _join_index(pseq: pa.ChunkedArray, lseq: pa.ChunkedArray) -> np.ndarray:
 def _reconstruct_pcm(payload: pa.Table, idx: np.ndarray) -> pa.Table:
     """(bytes, codec, sr_hz, n_samples, …) payload rows, joined by ``idx``
     (payload row per output row, -1 = null row) → (pcm, n_samples, …) in
-    output order: the pre-passthrough logical shape (bytes/codec/sr_hz
-    dropped, pcm in their place).
+    output order: the logical shape (bytes/codec/sr_hz dropped, pcm in
+    their place).
 
     One float32 buffer is allocated for every row's samples, sized from
     the staged ``n_samples``; each payload row window then decodes on a
@@ -861,14 +690,6 @@ def _reconstruct_pcm(payload: pa.Table, idx: np.ndarray) -> pa.Table:
     decodes to another length than staged, fails the read."""
     from .. import audio
 
-    if "pcm" in payload.column_names:
-        # passthrough (bytes) and transformed (pcm) fragments in one
-        # payload table: the run was resumed into the same out root with
-        # a different payload_transform
-        raise ValueError(
-            "payload table mixes encoded 'bytes' and decoded 'pcm' "
-            "fragments: the out root was resumed with a changed "
-            "payload_transform; replicate into a fresh out root")
     n = len(idx)
     has = pc.is_valid(payload["bytes"]).to_numpy(zero_copy_only=False)
     valid = (idx >= 0) & has[np.maximum(idx, 0)]
@@ -1356,15 +1177,14 @@ class ReplicatePipeline:
         self._routed_hot[epoch] = hot
         clips_route = _Router(
             self.actors, "clips", wm_prev, "clip_id", cfg.num_partitions,
-            # keep_bytes enables passthrough payload staging (stage the
-            # encoded source bytes, not float32 PCM) when no transform
-            # rewrites the audio — see _Router.__call__.  When nothing
-            # in-flight consumes decoded samples (no transform/filter/
-            # features), skip materializing them entirely: identical
-            # validation + n_samples, no 4 B/sample buffer ever built.
+            # the payload stages encoded audio (see _Router._payload_slice).
+            # When nothing in-flight consumes decoded samples (no
+            # transform/filter/features), skip materializing them
+            # entirely: identical validation + n_samples, no 4 B/sample
+            # buffer ever built.
             decoder=AudioDecoder(
                 record_size_limit=cfg.record_size_limit,
-                keep_bytes=cfg.payload_transform is None,
+                keep_bytes=True,
                 materialize_pcm=(
                     cfg.payload_transform is not None
                     or cfg.payload_filter is not None
@@ -1432,16 +1252,12 @@ class ReplicatePipeline:
             if res is None:
                 continue
             ukeys, uts, urev, utext = res
-            targets: dict[int, set] = {}
-            hk = ukeys.astype(str)
-            for s in range(self.cfg.n_salts):
-                salted = np.char.add(hk, f"#{s}").astype(object)
-                ps = (hash64(salted) % np.uint64(P)).astype(np.int64)
-                for i, p in enumerate(ps):
-                    if int(p) != h:
-                        targets.setdefault(int(p), set()).add(i)
-            for p, idx in targets.items():
-                sel = np.array(sorted(idx), dtype=np.int64)
+            sp = salt_partitions(ukeys, P, self.cfg.n_salts)
+            for p in np.unique(sp):
+                p = int(p)
+                if p == h:
+                    continue
+                sel = np.flatnonzero((sp == p).any(axis=1))
                 tbl = pa.table(
                     {
                         "clip_id": pa.array(ukeys[sel], pa.string()),

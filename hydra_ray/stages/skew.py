@@ -26,12 +26,12 @@ row offsets), so epoch replay routes identically.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..hashing import hash64
 
-__all__ = ["detect_hot_keys", "salted_partition_for", "SaltedRouter"]
+__all__ = ["detect_hot_keys", "hot_mask", "salt_partitions",
+           "salted_partition_for", "SaltedRouter"]
 
 
 def detect_hot_keys(ds, key_col: str, threshold: float = 0.01, batch_floor: int = 8):
@@ -58,6 +58,26 @@ def detect_hot_keys(ds, key_col: str, threshold: float = 0.01, batch_floor: int 
     return set(hot[key_col].tolist())
 
 
+def hot_mask(keys: np.ndarray, hot_keys) -> np.ndarray:
+    """Per row of the object array ``keys``: is the key in ``hot_keys``."""
+    return np.fromiter((k in hot_keys for k in keys), bool, len(keys))
+
+
+def salt_partitions(keys: np.ndarray, num_partitions: int,
+                    n_salts: int) -> np.ndarray:
+    """Partition of every salted copy of each key → int64
+    ``(len(keys), n_salts)``: column ``s`` routes the salted key
+    ``f"{key}#{s}"``.  The one place a salted key is spelled; each
+    distinct key hashes once per salt."""
+    uniq, inv = np.unique(np.asarray(keys, dtype=object).astype(str),
+                          return_inverse=True)
+    out = np.empty((len(uniq), n_salts), np.int64)
+    for s in range(n_salts):
+        salted = np.char.add(uniq, f"#{s}").astype(object)
+        out[:, s] = hash64(salted) % np.uint64(num_partitions)
+    return out[inv.reshape(-1)]
+
+
 def salted_partition_for(
     keys, hot_keys: set, num_partitions: int, n_salts: int, offsets: np.ndarray
 ) -> np.ndarray:
@@ -69,15 +89,12 @@ def salted_partition_for(
     base = (hash64(keys_np) % np.uint64(num_partitions)).astype(np.int64)
     if not hot_keys:
         return base.astype(np.int32)
-    is_hot = pd.Series(keys_np).isin(hot_keys).to_numpy()
-    if not is_hot.any():
+    hot = np.flatnonzero(hot_mask(keys_np, hot_keys))
+    if not len(hot):
         return base.astype(np.int32)
-    salts = (offsets % n_salts).astype(np.int64)
-    salted_key = np.char.add(
-        keys_np[is_hot].astype(str), np.char.mod("#%d", salts[is_hot])
-    )
-    salted = (hash64(salted_key.astype(object)) % np.uint64(num_partitions)).astype(np.int64)
-    base[is_hot] = salted
+    salts = (offsets[hot] % n_salts).astype(np.int64)
+    base[hot] = salt_partitions(keys_np[hot], num_partitions,
+                                n_salts)[np.arange(len(hot)), salts]
     return base.astype(np.int32)
 
 

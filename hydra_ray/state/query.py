@@ -25,9 +25,12 @@ from __future__ import annotations
 import os
 import re
 
+import numpy as np
 import pyarrow as pa
 
-from ..fs import fexists, fget_npz, fisdir, flist
+from ..fs import fisdir, flist
+from .dedup_index import DedupIndexState
+from .neardup_index import NearDupIndexState
 from .store import PartitionState, find_restore_chain, scan_checkpoints
 
 __all__ = ["latest_epoch", "read_state"]
@@ -199,37 +202,25 @@ def read_state(ckpt_root: str, cfg, epoch: int | None = None,
 def _index_summary(ckpt_root: str, prefix: str) -> pa.Table | None:
     """Per-shard occupancy of a dedup ('d') / neardup ('n') index tier
     at each shard's newest restorable epoch (index shards checkpoint on
-    their own epochs; the files share the full+delta chain convention)."""
+    their own epochs), each shard restored by its own index class."""
     shards = []
     if fisdir(ckpt_root):
         for name in flist(ckpt_root):
             if re.fullmatch(prefix + r"\d{4}", name):
                 shards.append(int(name[len(prefix):]))
-    if not shards:
-        return None
-    fname = "seen.npz" if prefix == "d" else "index.npz"
-    dname = "new.npz"
     rows = []
     for s in shards:
         base = os.path.join(ckpt_root, f"{prefix}{s:04d}")
         e = _max_restorable(base)
         if e is None:
             continue
-        full, deltas = find_restore_chain(base, e)
-        n, ts_lo, ts_hi = 0, None, None
-        for d, f in [(full, fname)] + [(d, dname) for d in deltas]:
-            p = os.path.join(d, f)
-            if not fexists(p):
-                continue
-            z = fget_npz(p)
-            key = "h" if "h" in z else "keys"
-            n += len(z[key])
-            if len(z["ts"]):
-                lo, hi = int(z["ts"].min()), int(z["ts"].max())
-                ts_lo = lo if ts_lo is None else min(ts_lo, lo)
-                ts_hi = hi if ts_hi is None else max(ts_hi, hi)
-        rows.append((s, e, n, ts_lo if ts_lo is not None else -1,
-                     ts_hi if ts_hi is not None else -1))
+        st = (DedupIndexState if prefix == "d" else NearDupIndexState)(s)
+        st.restore_chain(*find_restore_chain(base, e))
+        n = st.n_hashes() if prefix == "d" else st.n_entries()
+        # every run's last array is its entries' first-seen ts
+        ts = np.concatenate([r[-1] for r in st.runs] or [np.empty(0, int)])
+        rows.append((s, e, n, int(ts.min()) if len(ts) else -1,
+                     int(ts.max()) if len(ts) else -1))
     if not rows:
         return None
     c = list(zip(*rows))

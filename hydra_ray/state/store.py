@@ -1305,12 +1305,12 @@ class PartitionState:
 
         light = pickle.loads(fget(os.path.join(directory, "state.pkl")))
         self.win = light["win"]
-        self.swin = light.get("swin", {})
+        self.swin = light["swin"]
         self.sessions = defaultdict(list, light["sessions"])
         self.upd_chunks = light["upd_chunks"]
         self.view = light["view"]
-        self.funnel = light.get("funnel", {})
-        self.funnel_buf = light.get("funnel_buf", [])
+        self.funnel = light["funnel"]
+        self.funnel_buf = light["funnel_buf"]
         self.max_ts = light["max_ts"]
         self.metrics = defaultdict(int, light["metrics"])
         buf_path = os.path.join(directory, "clip_buf.parquet")
@@ -1318,7 +1318,7 @@ class PartitionState:
         if fexists(buf_path):
             self.clip_buf = [fget_table(buf_path)]
         self.dlq_buf = []
-        return light.get("wm")
+        return light["wm"]
 
     def _apply_delta(self, directory: str):
         from ..fs import fexists, fget, fget_table
@@ -1334,15 +1334,15 @@ class PartitionState:
                                   mode_k, top_k)
         self.upd_chunks.extend(d["upd_delta"])
         self.view.update(d["view_delta"])
-        self.funnel.update(d.get("funnel_delta", {}))
-        self.funnel_buf.extend(d.get("funnel_buf_delta", []))
+        self.funnel.update(d["funnel_delta"])
+        self.funnel_buf.extend(d["funnel_buf_delta"])
         self.sessions = defaultdict(list, d["sessions"])
         self.max_ts = d["max_ts"]
         self.metrics = defaultdict(int, d["metrics"])
         clip_path = os.path.join(directory, "clip_delta.parquet")
         if fexists(clip_path):
             self.clip_buf.append(fget_table(clip_path))
-        return d.get("wm")
+        return d["wm"]
 
     def restore_chain(self, full_dir: str, delta_dirs: list[str]):
         """Restore = full snapshot + deltas, then prune by the final

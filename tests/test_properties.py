@@ -428,23 +428,24 @@ def test_zorder_box_queries_exact(seed, xlo, xw, ylo, yw):
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_span_gather_and_quantize_roundtrip_property(data):
-    """Property: _quantize_pcm_lossless → _merge_quantized_pcm is
-    BIT-identical for arbitrary mixes of int16-grid rows (the decode
-    constant's grid), foreign-grid rows, scaled rows, and empty rows —
-    and _span_gather_idx equals the naive span concat."""
+def test_payload_encode_roundtrip_property(data):
+    """Property: encode_pcm → decode_batch is BIT-identical for arbitrary
+    mixes of int16-grid rows (the decode constant's grid), foreign-grid
+    rows, scaled rows with -0.0, empty rows and null rows; non-empty
+    grid rows stage as pcm16 and null rows stay null."""
     import numpy as np
     import pyarrow as pa
 
-    import hydra_ray.pipelines.replicate as R
+    from hydra_ray.audio import decode_batch
+    from hydra_ray.pipelines.replicate import encode_pcm
 
     rng_seed = data.draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(rng_seed)
     n_rows = data.draw(st.integers(0, 25))
     inv = np.float32(1.0 / 32767.0)
-    rows = []
+    rows, kinds = [], []
     for _ in range(n_rows):
-        kind = rng.integers(0, 4)
+        kind = int(rng.integers(0, 5))
         k = int(rng.integers(0, 40))
         if kind == 0:     # decode-constant grid
             rows.append(rng.integers(-32767, 32768, k)
@@ -457,29 +458,31 @@ def test_span_gather_and_quantize_roundtrip_property(data):
             if k:
                 r[rng.integers(0, k)] = np.float32(-0.0)
             rows.append(r)
-        else:             # empty row
+        elif kind == 3:   # empty row
             rows.append(np.empty(0, np.float32))
+        else:             # null row
+            rows.append(None)
+        kinds.append(kind)
 
-    lens = [len(r) for r in rows]
+    lens = [0 if r is None else len(r) for r in rows]
     offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-    flat = (np.concatenate(rows).astype(np.float32)
-            if rows else np.empty(0, np.float32))
-    pcm = pa.LargeListArray.from_arrays(pa.array(offs, pa.int64()),
-                                        pa.array(flat, pa.float32()))
-    heavy = pa.table({"seq": pa.array(range(n_rows), pa.int64()),
-                      "pcm": pcm})
-    q = R._quantize_pcm_lossless(heavy)
-    m = R._merge_quantized_pcm(q)
-    back_lens = [len(x) for x in m["pcm"].combine_chunks().to_pylist()]
-    assert back_lens == lens
-    back = np.asarray(m["pcm"].combine_chunks().flatten(),
-                      dtype=np.float32)
-    assert np.array_equal(flat.view(np.uint32), back.view(np.uint32))
-
-    # _span_gather_idx == naive
-    starts = offs[:-1][np.array(lens) > 0] if n_rows else np.empty(0, np.int64)
-    ls = np.array(lens)[np.array(lens) > 0] if n_rows else np.empty(0, np.int64)
-    got = R._span_gather_idx(starts.astype(np.int64), ls.astype(np.int64))
-    ref = (np.concatenate([np.arange(s, s + l) for s, l in zip(starts, ls)])
-           if len(starts) else np.empty(0, np.int64))
-    assert np.array_equal(got, ref)
+    flat = (np.concatenate([r for r in rows if r is not None] + [
+        np.empty(0, np.float32)]).astype(np.float32))
+    valid = np.array([r is not None for r in rows], bool)
+    pcm = pa.LargeListArray.from_arrays(
+        pa.array(offs, pa.int64()), pa.array(flat, pa.float32()),
+        mask=pa.array(~valid))
+    raw, codec = encode_pcm(pcm)
+    codecs = codec.to_pylist()
+    assert [c is None for c in codecs] == list(~valid)
+    assert raw.null_count == int((~valid).sum())
+    for kind, n, c in zip(kinds, lens, codecs):
+        if kind == 0 and n:
+            assert c == "pcm16"
+    ok = np.flatnonzero(valid)
+    back, err = decode_batch(raw.take(pa.array(ok)),
+                             codec.take(pa.array(ok)))
+    assert err.null_count == len(ok)
+    assert [len(x) for x in back.to_pylist()] == [lens[i] for i in ok]
+    got = np.asarray(back.flatten(), dtype=np.float32)
+    assert np.array_equal(flat.view(np.uint32), got.view(np.uint32))

@@ -944,10 +944,11 @@ def test_history_truncation_preserves_output(tmp_path, ray_session, clean_run):
 
 
 def test_quantized_pcm_staging_bit_exact(tmp_path, ray_session, clean_run):
-    """Transform-path fragments store int16-grid rows as pcm_q
-    (2 B/sample) and read_replicated reconstructs bit-identically: the
-    trim_payload config's joined pcm must equal a clean pre-r5-style
-    float read (the per-row verify-by-roundtrip rule guarantees it)."""
+    """Transform-path fragments store the transformed audio encoded:
+    int16-grid rows as pcm16 (2 B/sample), no decoded pcm column, and
+    read_replicated reconstructs bit-identically: the trim_payload
+    config's joined pcm must equal decode + trim of the source rows
+    (the per-row verify-by-roundtrip rule guarantees it)."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -963,14 +964,20 @@ def test_quantized_pcm_staging_bit_exact(tmp_path, ray_session, clean_run):
         f"{root}/updates",
     )
     pipe.run()
-    # fragments actually used the quantized column
+    # one payload layout: encoded audio plus the transform's column
     payload = LTable(f"{root}/out/payload").to_arrow()
-    assert "pcm_q" in payload.column_names
-    n_q = pc.sum(pc.cast(pc.is_valid(payload["pcm_q"]), pa.int64())).as_py()
-    assert n_q > 0, "no rows quantized — grid check broken?"
+    assert payload.column_names == ["seq", "bytes", "codec", "sr_hz",
+                                    "n_samples", "trimmed_ms"]
+    q = pc.equal(payload["codec"], "pcm16")
+    assert pc.sum(pc.cast(q, pa.int64())).as_py() > 0, \
+        "no rows staged as pcm16 — grid check broken?"
+    q16 = payload.filter(q)
+    assert pc.equal(pc.binary_length(q16["bytes"]),
+                    pc.multiply(pc.cast(q16["n_samples"], pa.int64()),
+                                2)).to_numpy(zero_copy_only=False).all()
 
     out = read_replicated(f"{root}/out")
-    assert "pcm_q" not in out.column_names
+    assert "bytes" not in out.column_names
     # oracle: decode + trim the source clips directly
     clips = LTable(f"{root}/clips").to_arrow()
     pcm, err = decode_batch(clips["bytes"].combine_chunks(),
@@ -1041,25 +1048,85 @@ def test_state_store_imports_without_pandas():
     assert r.returncode == 0, r.stderr or "pandas was imported"
 
 
-def test_reconstruct_pcm_refuses_mixed_fragments():
-    """A payload table with both passthrough ``bytes`` and transformed
-    ``pcm`` fragments (a resume with a changed payload_transform) raises
-    instead of nulling the stored-pcm rows."""
-    import numpy as np
-    import pyarrow as pa
-
+def test_reconstruct_pcm_refuses_mixed_fragments(tmp_path):
+    """A payload table holding decoded ``pcm`` fragments (the layout
+    transformed payloads had before every payload staged encoded) fails
+    the read loudly instead of nulling those rows."""
     from hydra_ray.audio import encode
-    from hydra_ray.pipelines.replicate import _reconstruct_pcm
+    from hydra_ray.pipelines.replicate import read_replicated
 
+    root = str(tmp_path)
     raw = encode(np.zeros(50, np.float32), "pcm16", 8000)
-    # row0: transformed pcm fragment; row1: passthrough fragment
-    matched = pa.table({
-        "seq": pa.array([1, 2], pa.int64()),
-        "pcm": pa.array([[0.5], None], pa.large_list(pa.float32())),
-        "bytes": pa.array([None, raw], pa.binary()),
-        "codec": pa.array([None, "pcm16"], pa.string()),
-        "sr_hz": pa.array([None, 8000], pa.int32()),
-        "n_samples": pa.array([1, 50], pa.int32()),
-    })
-    with pytest.raises(ValueError, match="payload_transform"):
-        _reconstruct_pcm(matched, np.arange(2))
+    payload = Table.create(f"{root}/payload")
+    payload.append(pa.table({
+        "seq": pa.array([1], pa.int64()),
+        "bytes": pa.array([raw], pa.large_binary()),
+        "codec": pa.array(["pcm16"], pa.string()),
+        "sr_hz": pa.array([8000], pa.int32()),
+        "n_samples": pa.array([50], pa.int32()),
+    }))
+    payload.append(pa.table({
+        "seq": pa.array([2], pa.int64()),
+        "pcm": pa.array([[0.5]], pa.large_list(pa.float32())),
+        "n_samples": pa.array([1], pa.int32()),
+        "pcm_q": pa.nulls(1, pa.large_list(pa.int16())),
+    }))
+    Table.create(f"{root}/replicated").append(
+        pa.table({"seq": pa.array([1, 2], pa.int64())}))
+    with pytest.raises(ValueError, match="decoded 'pcm' fragments"):
+        read_replicated(root)
+
+
+def test_resume_with_another_transform_reads_every_row(
+        tmp_path, ray_session, clean_run):
+    """An out root resumed with a different payload_transform holds
+    source-encoded and transform-encoded fragments side by side; both
+    are the one payload layout, so every emitted row reads back with its
+    audio."""
+    import pyarrow.compute as pc
+
+    from hydra_ray.pipelines.replicate import read_replicated, trim_payload
+
+    root = str(tmp_path)
+    build_sources(root)
+    pipe = ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                             cfg(crash_at=(2, "before_close")),
+                             f"{root}/updates")
+    with pytest.raises(CrashPoint):
+        pipe.run()
+    ReplicatePipeline(f"{root}/clips", f"{root}/out",
+                      cfg(payload_transform=trim_payload),
+                      f"{root}/updates").run()
+    assert _content_signature(f"{root}/out") == \
+        _content_signature(f"{clean_run[0]}/out")
+    payload = Table(f"{root}/out/payload").to_arrow()
+    # both kinds of fragment were committed
+    assert payload["trimmed_ms"].null_count > 0
+    assert payload.num_rows - payload["trimmed_ms"].null_count > 0
+    out = read_replicated(f"{root}/out")
+    assert out.num_rows == Table(f"{root}/out/replicated").count_rows()
+    assert out["pcm"].null_count == 0
+    assert pc.equal(pc.cast(pc.list_value_length(out["pcm"]), pa.int32()),
+                    out["n_samples"]).to_numpy(zero_copy_only=False).all()
+
+
+def test_transform_length_mismatch_raises_at_staging():
+    """A payload_transform whose n_samples disagrees with its pcm length
+    fails when its rows stage, not later at read time."""
+    import pyarrow.compute as pc
+
+    from hydra_ray.pipelines.replicate import _Router
+    from hydra_ray.stages.decode import AudioDecoder
+
+    def off_by_one(heavy):
+        i = heavy.column_names.index("n_samples")
+        return heavy.set_column(i, "n_samples",
+                                pc.add(heavy["n_samples"], 1))
+
+    batch = AudioDecoder(keep_bytes=True)(synth_clips_table(8))
+    rows = np.flatnonzero(pc.is_null(batch["decode_error"]).to_numpy(
+        zero_copy_only=False))
+    router = _Router(None, "clips", 0, "clip_id", 4,
+                     payload_transform=off_by_one)
+    with pytest.raises(ValueError, match="n_samples"):
+        router._payload_slice(batch, rows)
