@@ -62,7 +62,7 @@ from ..state.store import (
 from ..table import Table
 from ..table.lancelite import FragmentMeta, read_threads, stage_fragments
 
-__all__ = ["ReplicateConfig", "ReplicatePipeline", "CrashPoint"]
+__all__ = ["ReplicateConfig", "ReplicatePipeline", "CrashPoint", "sink_names"]
 
 
 class CrashPoint(RuntimeError):
@@ -255,6 +255,21 @@ class ReplicateConfig:
     keep_history_versions: int = 0
     # test hooks: raise CrashPoint at a given (epoch, point)
     crash_at: tuple | None = None            # e.g. (1, "after_prepare")
+
+
+def sink_names(cfg: ReplicateConfig) -> tuple[str, ...]:
+    """The sink tables a run with ``cfg`` creates and commits, main sink
+    first: the light rows, payload, DLQ and view always; every other
+    output only while the config field that gates it is on.  A sink
+    whose feature is off has no table, no start-up GC and no commit."""
+    on = [n for n, gate in (("windows", cfg.window_size_ms),
+                            ("sliding", cfg.sliding_size_ms),
+                            ("sessions", cfg.session_gap_ms)) if gate]
+    return ("replicated", "payload", *on,
+            *(("funnels",) if cfg.funnel_steps else ()),
+            *(("changelog",) if cfg.changelog else ()),
+            "dlq", "views",
+            *(f"{n}_live" for n in on if cfg.early_fire))
 
 
 HEAVY_COLS = ("pcm", "n_samples", "bytes")
@@ -752,25 +767,32 @@ def _reconstruct_pcm(payload: pa.Table, idx: np.ndarray) -> pa.Table:
     return pa.table(cols)
 
 
+def _sink_rows(out_root: str, name: str) -> pa.Table:
+    """A sink's committed rows; none when the run never enabled the sink
+    (``sink_names``), so it has no table."""
+    root = os.path.join(out_root, name)
+    return Table(root).to_arrow() if Table.exists(root) else pa.table({})
+
+
 def read_windows_live(out_root: str, kind: str = "windows"):
     """The coherent incremental window view (``early_fire=True`` runs):
     the windows (or, with ``kind="sliding"``, sliding) sink's EXACT
     close-time rows, overlaid with the latest provisional totals for
     cells not yet closed.  Returns a pandas frame with a ``provisional``
     bool column; converges to exactly the final sink as the stream
-    drains."""
+    drains.  A run without ``early_fire`` has no live sink: the view is
+    the finals alone."""
     import pandas as pd
 
     if kind not in ("windows", "sliding"):
         raise ValueError(f"kind must be windows|sliding, got {kind!r}")
-    final = Table(os.path.join(out_root, kind)).to_arrow().to_pandas()
+    final = _sink_rows(out_root, kind).to_pandas()
     base_cols = ["clip_id", "window_start", "window_end", "n_clips",
                  "sum_dur_ms"]
     final = (final[[c for c in base_cols if c in final.columns]]
              if len(final) else pd.DataFrame(columns=base_cols))
     out = final.assign(provisional=False)
-    live = Table(
-        os.path.join(out_root, f"{kind}_live")).to_arrow().to_pandas()
+    live = _sink_rows(out_root, f"{kind}_live").to_pandas()
     if len(live):
         live = (live.sort_values("epoch", kind="mergesort")
                 .drop_duplicates(["clip_id", "window_start"], keep="last"))
@@ -790,18 +812,20 @@ def read_sessions_live(out_root: str):
     every open session, so that epoch's rows are the whole open set and
     older rows are superseded snapshots.  The flush epoch renders
     nothing (a drained stream has closed everything, so only finals
-    remain), and an epoch whose main commit never landed is not shown."""
+    remain), and an epoch whose main commit never landed is not shown.
+    A run without ``early_fire`` has no live sink: the view is the
+    finals alone."""
     import pandas as pd
 
     cols = ["clip_id", "session_start", "session_end", "n_clips",
             "sum_dur_ms"]
-    final = Table(os.path.join(out_root, "sessions")).to_arrow().to_pandas()
+    final = _sink_rows(out_root, "sessions").to_pandas()
     final = (final[[c for c in cols if c in final.columns]]
              if len(final) else pd.DataFrame(columns=cols))
     out = final.assign(provisional=False)
     last = Table(os.path.join(out_root, "replicated")).committed_epoch(
         "replicate")
-    live = Table(os.path.join(out_root, "sessions_live")).to_arrow()
+    live = _sink_rows(out_root, "sessions_live")
     if live.num_rows:
         live = live.filter(pc.equal(live["epoch"], last)).to_pandas()
         if len(live):
@@ -838,9 +862,6 @@ def read_lineage(out_root: str, name: str = "replicate") -> list[dict]:
 
 
 class ReplicatePipeline:
-    SINKS = ("replicated", "payload", "windows", "sliding",
-             "sessions", "funnels", "changelog", "dlq", "views",
-             "windows_live", "sliding_live", "sessions_live")
     MAIN = "replicated"
 
     def __init__(
@@ -851,19 +872,33 @@ class ReplicatePipeline:
         updates_root: str | None = None,
         name: str = "replicate",
     ):
-        self.cfg = cfg or ReplicateConfig()
-        if self.cfg.keep_checkpoints < 1:
+        self.cfg = cfg = cfg or ReplicateConfig()
+        # the config is checked before anything touches storage
+        if cfg.keep_checkpoints < 1:
             raise ValueError(
                 "keep_checkpoints must be >= 1 (the last committed epoch's "
                 "checkpoint chain is always kept)")
+        if cfg.neardup:
+            if cfg.neardup_signature == "minhash":
+                if not 1 <= cfg.neardup_min_band_matches <= cfg.neardup_bands:
+                    raise ValueError(
+                        "neardup_min_band_matches must be in "
+                        "[1, neardup_bands] (≥1 shared lane is what the "
+                        "band buckets can find)"
+                    )
+            elif cfg.neardup_max_hamming >= cfg.neardup_bands:
+                raise ValueError(
+                    "neardup_max_hamming must be < neardup_bands "
+                    "(pigeonhole recall guarantee)"
+                )
         self.name = name
         self.clips = Table(clips_root)
         self.updates = Table(updates_root) if updates_root else None
         self.out_root = out_root
-        with futures.ThreadPoolExecutor(len(self.SINKS)) as pool:
-            self.sink = dict(zip(self.SINKS, pool.map(
-                lambda s: Table.create(os.path.join(out_root, s)),
-                self.SINKS)))
+        names = sink_names(cfg)
+        with futures.ThreadPoolExecutor(len(names)) as pool:
+            self.sink = dict(zip(names, pool.map(
+                lambda s: Table.create(os.path.join(out_root, s)), names)))
         self.ckpt_root = os.path.join(out_root, "_checkpoints")
         # partition-state base dir: ``ckpt_root/<layout>`` once a rescale
         # committed a new layout generation (state key "ckpt_layout");
@@ -901,19 +936,6 @@ class ReplicatePipeline:
         import ray
 
         cfg = self.cfg
-        if cfg.neardup:
-            if cfg.neardup_signature == "minhash":
-                if not 1 <= cfg.neardup_min_band_matches <= cfg.neardup_bands:
-                    raise ValueError(
-                        "neardup_min_band_matches must be in "
-                        "[1, neardup_bands] (≥1 shared lane is what the "
-                        "band buckets can find)"
-                    )
-            elif cfg.neardup_max_hamming >= cfg.neardup_bands:
-                raise ValueError(
-                    "neardup_max_hamming must be < neardup_bands "
-                    "(pigeonhole recall guarantee)"
-                )
         cls = StateHostActor()
         # the hosts get the config itself, minus the ingest-side hooks
         # (they run in the routing tasks, never in state)
@@ -1026,12 +1048,12 @@ class ReplicatePipeline:
                     "rescale_state (or point ckpt_layout back at a "
                     "consistent generation via update_pipeline_state)"
                 )
-        # runs the start-up gc_staged calls, then each epoch's aux sink
+        # runs the start-up sink upkeep, then each epoch's aux sink
         # commits and lineage PUT, concurrently
-        self._commit_pool = futures.ThreadPoolExecutor(len(self.SINKS))
+        self._commit_pool = futures.ThreadPoolExecutor(len(self.sink))
         try:
-            gc = [self._commit_pool.submit(t.gc_staged)
-                  for t in self.sink.values()]
+            gc = [self._commit_pool.submit(self._open_sink, s, committed)
+                  for s in self.sink]
             self._spawn_actors()
             if committed >= 0:
                 call_hosts("restore", self._slots("p", "d", "n"), committed)
@@ -1106,6 +1128,19 @@ class ReplicatePipeline:
         finally:
             self._commit_pool.shutdown()
             self._shutdown_actors()
+
+    def _open_sink(self, name: str, committed: int):
+        """Run-start upkeep of one sink: delete its orphan fragments and,
+        on resume, fast-forward an aux sink whose committed epoch lags
+        the main sink's.  The main commit lands only after every aux
+        commit of its epoch, so a lag means the sink's feature was off
+        for the epochs in between (or the sink is new): it has no rows
+        to catch up on, only the epoch gap its next commit would hit."""
+        t = self.sink[name]
+        t.gc_staged()
+        if (committed >= 0 and name != self.MAIN
+                and t.committed_epoch(self.name) < committed):
+            t.update_pipeline_state(self.name, {"last_epoch": committed})
 
     def _advance_watermark(self, wm_prev: int, acks: list) -> int:
         """Monotone per-source frontiers → wm = min(frontiers) − lateness."""
@@ -1370,7 +1405,7 @@ class ReplicatePipeline:
         if cfg.crash_at == (epoch, "after_prepare"):
             raise CrashPoint(f"injected crash after prepare of epoch {epoch}")
 
-        staged: dict[str, list[FragmentMeta]] = {s: [] for s in self.SINKS}
+        staged: dict[str, list[FragmentMeta]] = {s: [] for s in self.sink}
         for r in results:
             for sink_name, frag in r["staged"].items():
                 staged[sink_name].append(FragmentMeta.from_json(frag))
@@ -1415,7 +1450,7 @@ class ReplicatePipeline:
         pending = [
             self._commit_pool.submit(
                 self.sink[s].commit_epoch, self.name, epoch, staged[s])
-            for s in self.SINKS if s != self.MAIN
+            for s in self.sink if s != self.MAIN
         ]
         pending.append(self._commit_pool.submit(self._append_lineage,
                                                 lineage_entry))

@@ -16,9 +16,10 @@ Shape (all heavy work in Ray tasks, scatter/gather by partition):
 
 1. SPLIT, one task per OLD partition: restore its chain
    (full + deltas), split every state component by the NEW home
-   ``partition_for(key, new_P)``, write one shard file per touched new
-   partition.
-2. MERGE, one task per NEW partition: fold its shard files into a
+   ``partition_for(key, new_P)``, write one shard file per new
+   partition (empty ones too, so the storage ops depend on the
+   partition counts alone, never on where the keys fall).
+2. MERGE, one task per NEW partition: fold its N shard files into a
    fresh ``PartitionState`` and save ONE full checkpoint at the
    committed epoch.  Merge rules mirror the live operators:
    window partials add (a salted hot key's partials live on several
@@ -68,8 +69,8 @@ def _empty_shard() -> dict:
 
 def _split_one(ckpt_root: str, p: int, epoch: int, cfg, new_p: int,
                tmp_root: str) -> dict:
-    """Restore old partition ``p`` and write one shard file per new
-    partition that receives any of its state."""
+    """Restore old partition ``p`` and write its shard file for every
+    new partition."""
     st = PartitionState(p, cfg)
     chain = find_restore_chain(os.path.join(ckpt_root, f"p{p:04d}"), epoch)
     if chain is None:
@@ -78,10 +79,7 @@ def _split_one(ckpt_root: str, p: int, epoch: int, cfg, new_p: int,
         )
     st.restore_chain(*chain)
 
-    shards: dict[int, dict] = {}
-
-    def shard(q: int) -> dict:
-        return shards.setdefault(q, _empty_shard())
+    shards = [_empty_shard() for _ in range(new_p)]
 
     # one vectorized home lookup for every distinct key in the dicts
     keyed = set()
@@ -98,29 +96,29 @@ def _split_one(ckpt_root: str, p: int, epoch: int, cfg, new_p: int,
         homes = dict(zip(ks, partition_for(ks, new_p)))
 
     for kw, acc in st.win.items():
-        shard(int(homes[kw[0]]))["win"][kw] = acc
+        shards[homes[kw[0]]]["win"][kw] = acc
     for kw, acc in st.swin.items():
-        shard(int(homes[kw[0]]))["swin"][kw] = acc
+        shards[homes[kw[0]]]["swin"][kw] = acc
     for k, lst in st.sessions.items():
-        shard(int(homes[k]))["sessions"][k] = lst
+        shards[homes[k]]["sessions"][k] = lst
     for k, rec in st.view.items():
-        shard(int(homes[k]))["view"][k] = rec
+        shards[homes[k]]["view"][k] = rec
     for k, chain_times in st.funnel.items():
-        shard(int(homes[k]))["funnel"][k] = chain_times
+        shards[homes[k]]["funnel"][k] = chain_times
 
     for t in st.clip_buf:
         if not t.num_rows:
             continue
         qs = partition_for(t["clip_id"], new_p)
         for q in np.unique(qs):
-            shard(int(q))["clips"].append(t.filter(pa.array(qs == q)))
+            shards[q]["clips"].append(t.filter(pa.array(qs == q)))
 
     ukeys, uts, urev, utext = st._consolidated_updates()
     if len(ukeys):
         qs = partition_for(ukeys, new_p)
         for q in np.unique(qs):
             m = qs == q
-            shard(int(q))["upd"].append((ukeys[m], uts[m], urev[m], utext[m]))
+            shards[q]["upd"].append((ukeys[m], uts[m], urev[m], utext[m]))
 
     for fk, ft, fd in st.funnel_buf:
         if not len(fk):
@@ -128,11 +126,11 @@ def _split_one(ckpt_root: str, p: int, epoch: int, cfg, new_p: int,
         qs = partition_for(fk, new_p)
         for q in np.unique(qs):
             m = qs == q
-            shard(int(q))["funnel_buf"].append((fk[m], ft[m], fd[m]))
+            shards[q]["funnel_buf"].append((fk[m], ft[m], fd[m]))
 
     from ..fs import fput
 
-    for q, d in shards.items():
+    for q, d in enumerate(shards):
         # create_or_skip: a Ray task retry (worker death) re-PUTs
         # deterministic shard content — skipping the existing complete
         # object is correct, raising would abort the whole rescale
@@ -146,14 +144,15 @@ def _split_one(ckpt_root: str, p: int, epoch: int, cfg, new_p: int,
 
 
 def _merge_one(q: int, tmp_root: str, epoch: int, cfg, max_ts: int,
-               metrics: dict, wm: int | None) -> str:
-    """Fold new partition ``q``'s shard files into one full checkpoint."""
-    from ..fs import fget, flist
+               metrics: dict, wm: int | None, old_p: int) -> str:
+    """Fold new partition ``q``'s shard files, one from each of the
+    ``old_p`` old partitions, into one full checkpoint."""
+    from ..fs import fget
 
     st = PartitionState(q, cfg)
     qdir = os.path.join(tmp_root, "_shards", f"q{q:04d}")
-    for name in flist(qdir):
-        d = pickle.loads(fget(os.path.join(qdir, name)))
+    for p in range(old_p):
+        d = pickle.loads(fget(os.path.join(qdir, f"from_p{p:04d}.pkl")))
         # salted hot key: partials from several old partitions fold with
         # the partitions' one merge rule (window cells with every sketch,
         # sessions with their sample)
@@ -243,7 +242,7 @@ def rescale_state(out_root: str, new_num_partitions: int, cfg,
     # commit merges/reports) ride on new partition 0
     ray.get([
         merge.remote(q, new_root, committed, scfg, max_ts,
-                     merged_metrics if q == 0 else {}, wm)
+                     merged_metrics if q == 0 else {}, wm, old_p)
         for q in range(new_p)
     ])
 

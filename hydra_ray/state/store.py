@@ -726,8 +726,10 @@ class PartitionState:
     # -------------------------------------------------------------- close
     def close_epoch(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()) -> dict:
         """Advance to watermark ``wm``: emit, close, evict.  Returns arrow
-        outputs {replicated, windows, sessions, dlq} (possibly empty) plus
-        the ``hot_keys``' raw partials: ``hot_windows``/``hot_sliding``
+        outputs keyed by sink name (None while the output has nothing to
+        emit; always None when its feature is off, which
+        ``replicate.sink_names`` mirrors) plus the ``hot_keys``' raw
+        partials: ``hot_windows``/``hot_sliding``
         as ``(key, window_start, *cell)`` rows of the closed cells and
         ``hot_sessions`` as ``(key, *interval)`` rows of every session,
         open or closed.  A salted key's state lives on several
@@ -1273,10 +1275,11 @@ class PartitionState:
                 "wm": wm,
             }
             # parquet first, pickle last: a checkpoint is visible (its
-            # state.pkl exists) only once every object in it is complete
-            if self.clip_buf:
-                buf = pa.concat_tables(self.clip_buf, promote_options="default")
-                fput_table(buf, os.path.join(directory, "clip_buf.parquet"))
+            # state.pkl exists) only once every object in it is complete.
+            # Both are always written, so a checkpoint's storage ops never
+            # depend on what its buffers hold
+            fput_table(_concat_or_empty(self.clip_buf),
+                       os.path.join(directory, "clip_buf.parquet"))
             fput(os.path.join(directory, "state.pkl"),
                  pickle.dumps(light, protocol=pickle.HIGHEST_PROTOCOL))
         else:
@@ -1293,15 +1296,14 @@ class PartitionState:
                 "metrics": dict(self.metrics),
                 "wm": wm,
             }
-            if self._delta_clips:
-                buf = pa.concat_tables(self._delta_clips, promote_options="default")
-                fput_table(buf, os.path.join(directory, "clip_delta.parquet"))
+            fput_table(_concat_or_empty(self._delta_clips),
+                       os.path.join(directory, "clip_delta.parquet"))
             fput(os.path.join(directory, "delta.pkl"),
                  pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL))
         self._reset_deltas()
 
     def _load_full(self, directory: str):
-        from ..fs import fexists, fget, fget_table
+        from ..fs import fget, fget_table
 
         light = pickle.loads(fget(os.path.join(directory, "state.pkl")))
         self.win = light["win"]
@@ -1313,15 +1315,13 @@ class PartitionState:
         self.funnel_buf = light["funnel_buf"]
         self.max_ts = light["max_ts"]
         self.metrics = defaultdict(int, light["metrics"])
-        buf_path = os.path.join(directory, "clip_buf.parquet")
-        self.clip_buf = []
-        if fexists(buf_path):
-            self.clip_buf = [fget_table(buf_path)]
+        buf = fget_table(os.path.join(directory, "clip_buf.parquet"))
+        self.clip_buf = [buf] if buf.num_rows else []
         self.dlq_buf = []
         return light["wm"]
 
     def _apply_delta(self, directory: str):
-        from ..fs import fexists, fget, fget_table
+        from ..fs import fget, fget_table
 
         d = pickle.loads(fget(os.path.join(directory, "delta.pkl")))
         sample_k = self.cfg.window_sample_k
@@ -1339,9 +1339,9 @@ class PartitionState:
         self.sessions = defaultdict(list, d["sessions"])
         self.max_ts = d["max_ts"]
         self.metrics = defaultdict(int, d["metrics"])
-        clip_path = os.path.join(directory, "clip_delta.parquet")
-        if fexists(clip_path):
-            self.clip_buf.append(fget_table(clip_path))
+        buf = fget_table(os.path.join(directory, "clip_delta.parquet"))
+        if buf.num_rows:
+            self.clip_buf.append(buf)
         return d["wm"]
 
     def restore_chain(self, full_dir: str, delta_dirs: list[str]):
@@ -1387,6 +1387,12 @@ class PartitionState:
             self.funnel_buf = [(fk[keep], ft[keep], fd[keep])] if keep.any() else []
         # sessions are exact (full copy in every delta): closed hot/cold
         # sessions were already removed at their close
+
+
+def _concat_or_empty(tables: list) -> pa.Table:
+    """One table of ``tables`` rows; a column-less empty one for none."""
+    return (pa.concat_tables(tables, promote_options="default") if tables
+            else pa.table({}))
 
 
 def _session_rows_table(rows: list, sample_k: int) -> pa.Table:
@@ -1716,11 +1722,19 @@ class StateHost:
             "early_touched", "early_touched_sliding")}
         out, hot_out = [], {}
         for name, tbl in outputs.items():
-            if name.startswith("hot_"):
-                if tbl is not None:
-                    hot_out[name] = tbl
+            if tbl is None:
                 continue
-            if tbl is not None and name in self.sinks[slot] and tbl.num_rows:
+            if name.startswith("hot_"):
+                hot_out[name] = tbl
+            elif name not in self.sinks[slot]:
+                # the driver passes one root per sink the config enables:
+                # an output without one is a config mismatch, never data
+                # to drop
+                raise RuntimeError(
+                    f"partition {slot[1]} emitted a {name!r} output but its "
+                    f"host has no {name!r} sink (sinks: "
+                    f"{sorted(self.sinks[slot])})")
+            elif tbl.num_rows:
                 out.append((name, tbl))
         # per-epoch heavy-key counts (top few, floor-filtered) feed the
         # driver's sticky hot-set detection; reset for the next epoch

@@ -13,7 +13,7 @@ import threading
 import pyarrow as pa
 
 from hydra_ray.fs import LocalFS
-from hydra_ray.pipelines.replicate import _Router
+from hydra_ray.pipelines.replicate import _Router, sink_names
 from hydra_ray.state.store import WATERMARK_MAX, StateHost
 from hydra_ray.synth import synth_clips_table
 from hydra_ray.table import Table
@@ -44,7 +44,7 @@ def _payload(n: int, p: int) -> pa.Table:
 def test_one_slot_close_stages_its_fragments_concurrently(tmp_path,
                                                           monkeypatch):
     sinks = {s: Table.create(str(tmp_path / s)).uri
-             for s in ("replicated", "windows", "sessions", "dlq")}
+             for s in sink_names(tr.cfg())}
     ck = str(tmp_path / "ck")
     host = StateHost([("p", 0)], tr.cfg(), sinks, ck, ck)
     light = synth_clips_table(8, hot_fraction=0.0).drop_columns(["bytes"])

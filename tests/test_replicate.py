@@ -18,6 +18,7 @@ from hydra_ray.pipelines.replicate import (
     ReplicateConfig,
     ReplicatePipeline,
     read_lineage,
+    sink_names,
 )
 from hydra_ray.stages.windows import sessionize_sorted
 from hydra_ray.synth import synth_clips_table, synth_updates_table
@@ -44,17 +45,17 @@ def build_sources(root):
 
 
 def cfg(**kw):
-    return ReplicateConfig(
-        num_partitions=4,
-        join_window_ms=W,
-        allowed_lateness_ms=LATENESS,
-        window_size_ms=10_000,
-        session_gap_ms=5_000,
-        sliding_size_ms=20_000,
-        sliding_slide_ms=10_000,
-        actor_num_cpus=0.25,
+    return ReplicateConfig(**{
+        "num_partitions": 4,
+        "join_window_ms": W,
+        "allowed_lateness_ms": LATENESS,
+        "window_size_ms": 10_000,
+        "session_gap_ms": 5_000,
+        "sliding_size_ms": 20_000,
+        "sliding_slide_ms": 10_000,
+        "actor_num_cpus": 0.25,
         **kw,
-    )
+    })
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,37 @@ def test_session_oracle(clean_run):
     pd.testing.assert_frame_equal(got[ref.columns.tolist()], ref, check_dtype=False)
 
 
+def test_live_views_without_early_fire(clean_run, capsys):
+    """An ``early_fire=False`` run has no live sinks: the live readers and
+    ``state --table *_live`` show the exact finals, none provisional."""
+    from hydra_ray.__main__ import main
+    from hydra_ray.pipelines.replicate import (
+        read_sessions_live,
+        read_windows_live,
+    )
+
+    out = f"{clean_run[0]}/out"
+    assert not os.path.exists(f"{out}/windows_live")
+    views = {"windows_live": (read_windows_live(out), "windows",
+                              "window_start"),
+             "sliding_live": (read_windows_live(out, kind="sliding"),
+                              "sliding", "window_start"),
+             "sessions_live": (read_sessions_live(out), "sessions",
+                               "session_start")}
+    for table, (view, sink, start) in views.items():
+        final = (Table(f"{out}/{sink}").to_arrow().to_pandas()
+                 .sort_values(["clip_id", start]).reset_index(drop=True))
+        assert len(view) == len(final) > 0
+        assert not view["provisional"].any()
+        cols = [c for c in view.columns if c != "provisional"]
+        pd.testing.assert_frame_equal(view[cols], final[cols],
+                                      check_dtype=False)
+        assert main(["state", "--out", out, "--table", table,
+                     "--session-gap-ms", "5000", "--sliding-ms", "20000",
+                     "--sliding-slide-ms", "10000"]) == 0
+        assert "provisional" in capsys.readouterr().out
+
+
 def _content_signature(out_root):
     repl = Table(f"{out_root}/replicated").to_arrow()
     df = repl.select(["seq", "clip_id", "transcript", "deleted"]).to_pandas()
@@ -311,9 +343,8 @@ def _one_partition_host(tmp_path):
     """A state host running partition slot 0 alone → (handle, slot)."""
     from hydra_ray.state.store import StateHostActor
 
-    sinks = {}
-    for s in ("replicated", "windows", "sliding", "sessions", "dlq", "views"):
-        sinks[s] = Table.create(str(tmp_path / s)).root
+    sinks = {s: Table.create(str(tmp_path / s)).root
+             for s in sink_names(cfg())}
     ck = str(tmp_path / "ck")
     host = StateHostActor().options(num_cpus=0).remote(
         [("p", 0)], cfg(), sinks, ck, ck)

@@ -187,3 +187,33 @@ def test_inconsistent_layout_refused(sources):
     main.update_pipeline_state("replicate", {"num_partitions": 6})
     with pytest.raises(RuntimeError, match="inconsistent"):
         _run(root, "halfswap", 6)
+
+
+def test_rescale_op_complexity(tmp_path, ray_session, meter_tok):
+    """rescale_state's storage ops depend on the partition counts and
+    the epoch count, never on the data volume: an 8→4 rescale at n and
+    ~2n rows, after the same epochs, issues identical op counts by
+    class (manifest / data / other)."""
+    from hydra_ray.fs import meter_counts, metered_root
+    from tests.test_storagefs import _classify_for
+
+    deltas = []
+    for n_clips in (N_CLIPS, 2 * N_CLIPS):
+        base = tmp_path / f"n{n_clips}"
+        clips = synth_clips_table(n_clips, hot_fraction=0.9)
+        ct = Table.create(f"{base}/clips", schema=clips.schema)
+        step = n_clips // VERSIONS
+        for v in range(VERSIONS):
+            ct.append(clips.slice(v * step, step))
+        tok = meter_tok(f"rescale{n_clips}")
+        out = metered_root(str(base / "out"), token=tok)
+        ReplicatePipeline(f"{base}/clips", out, cfg(8)).run(max_epochs=2)
+        classify = _classify_for(str(base / "out"))
+        before = meter_counts(tok, classify)
+        info = rescale_state(out, 4, cfg(8))
+        assert info["old"] == 8 and info["new"] == 4 and info["epoch"] == 1
+        after = meter_counts(tok, classify)
+        deltas.append({k: n - before.get(k, 0) for k, n in after.items()
+                       if n != before.get(k, 0)})
+    assert deltas[0] == deltas[1], deltas
+    assert deltas[0][("put", "manifest")] == 1, deltas[0]
