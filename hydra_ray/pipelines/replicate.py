@@ -57,6 +57,7 @@ from ..state.store import (
     call_hosts,
     close_hot_partials,
     host_layout,
+    sink_names,
     slot_num_cpus,
 )
 from ..table import Table
@@ -255,21 +256,6 @@ class ReplicateConfig:
     keep_history_versions: int = 0
     # test hooks: raise CrashPoint at a given (epoch, point)
     crash_at: tuple | None = None            # e.g. (1, "after_prepare")
-
-
-def sink_names(cfg: ReplicateConfig) -> tuple[str, ...]:
-    """The sink tables a run with ``cfg`` creates and commits, main sink
-    first: the light rows, payload, DLQ and view always; every other
-    output only while the config field that gates it is on.  A sink
-    whose feature is off has no table, no start-up GC and no commit."""
-    on = [n for n, gate in (("windows", cfg.window_size_ms),
-                            ("sliding", cfg.sliding_size_ms),
-                            ("sessions", cfg.session_gap_ms)) if gate]
-    return ("replicated", "payload", *on,
-            *(("funnels",) if cfg.funnel_steps else ()),
-            *(("changelog",) if cfg.changelog else ()),
-            "dlq", "views",
-            *(f"{n}_live" for n in on if cfg.early_fire))
 
 
 HEAVY_COLS = ("pcm", "n_samples", "bytes")
@@ -1054,6 +1040,8 @@ class ReplicatePipeline:
         try:
             gc = [self._commit_pool.submit(self._open_sink, s, committed)
                   for s in self.sink]
+            if committed >= 0:
+                gc.append(self._commit_pool.submit(self._gc_disabled_sinks))
             self._spawn_actors()
             if committed >= 0:
                 call_hosts("restore", self._slots("p", "d", "n"), committed)
@@ -1138,9 +1126,20 @@ class ReplicatePipeline:
         to catch up on, only the epoch gap its next commit would hit."""
         t = self.sink[name]
         t.gc_staged()
-        if (committed >= 0 and name != self.MAIN
-                and t.committed_epoch(self.name) < committed):
-            t.update_pipeline_state(self.name, {"last_epoch": committed})
+        if committed >= 0 and name != self.MAIN:
+            t.advance_epoch(self.name, committed)
+
+    def _gc_disabled_sinks(self):
+        """On resume, delete the orphan fragments of every sink table an
+        earlier run on this out root created and this config does not
+        enable (one LIST of the out root).  The table itself stays: its
+        committed rows remain readable, and a later run that enables
+        the feature again fast-forwards it (``_open_sink``)."""
+        for d in _fs.flist(self.out_root):
+            root = os.path.join(self.out_root, d)
+            if (d not in self.sink and not d.startswith("_")
+                    and Table.exists(root)):
+                Table(root).gc_staged()
 
     def _advance_watermark(self, wm_prev: int, acks: list) -> int:
         """Monotone per-source frontiers → wm = min(frontiers) − lateness."""
@@ -1542,7 +1541,7 @@ class ReplicatePipeline:
 
         w_cells = union("early_touched")
         s_cells = union("early_touched_sliding")
-        sessions = bool(cfg.session_gap_ms)
+        sessions = "sessions_live" in self.sink
         if w_cells is None and s_cells is None and not sessions:
             return []
         parts = call_hosts("render", self._slots("p"), w_cells, s_cells,

@@ -58,7 +58,25 @@ _I64MAX = np.iinfo(np.int64).max  # funnel chain: "step not reached"
 # funnel step name (ReplicateConfig.funnel_steps) → event kind code
 FUNNEL_KINDS = {"clip": 0, "update": 1, "delete": 2}
 
-__all__ = ["PartitionState", "StateHost", "StateHostActor", "WATERMARK_MAX"]
+__all__ = ["PartitionState", "StateHost", "StateHostActor", "WATERMARK_MAX",
+           "sink_names"]
+
+
+def sink_names(cfg) -> tuple[str, ...]:
+    """The outputs a ``ReplicateConfig`` produces, main sink first, and
+    so the sink tables its run creates and commits: the light rows,
+    payload, DLQ and view always; every other output only while the
+    config field that gates it is on.  ``PartitionState.close_epoch``
+    emits exactly these; a sink whose feature is off has no table, no
+    start-up GC and no commit."""
+    on = [n for n, gate in (("windows", cfg.window_size_ms),
+                            ("sliding", cfg.sliding_size_ms),
+                            ("sessions", cfg.session_gap_ms)) if gate]
+    return ("replicated", "payload", *on,
+            *(("funnels",) if cfg.funnel_steps else ()),
+            *(("changelog",) if cfg.changelog else ()),
+            "dlq", "views",
+            *(f"{n}_live" for n in on if cfg.early_fire))
 
 
 def _isna_value(v) -> bool:
@@ -244,6 +262,8 @@ class PartitionState:
         self.partition = partition
         self.cfg = cfg
         self.funnel_codes = tuple(FUNNEL_KINDS[s] for s in cfg.funnel_steps)
+        # the sink outputs close_epoch emits
+        self.outputs = frozenset(sink_names(cfg))
         # tumbling window partials: (clip_id, window_start) -> [cnt, sum_dur_ms]
         self.win: dict[tuple[str, int], list] = {}
         # sliding window partials (same layout; rows explode ×k at ingest)
@@ -726,28 +746,30 @@ class PartitionState:
     # -------------------------------------------------------------- close
     def close_epoch(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()) -> dict:
         """Advance to watermark ``wm``: emit, close, evict.  Returns arrow
-        outputs keyed by sink name (None while the output has nothing to
-        emit; always None when its feature is off, which
-        ``replicate.sink_names`` mirrors) plus the ``hot_keys``' raw
-        partials: ``hot_windows``/``hot_sliding``
+        outputs keyed by sink name, only the config's ``sink_names``
+        (None while an output has nothing to emit), plus the
+        ``hot_keys``' raw partials: ``hot_windows``/``hot_sliding``
         as ``(key, window_start, *cell)`` rows of the closed cells and
         ``hot_sessions`` as ``(key, *interval)`` rows of every session,
         open or closed.  A salted key's state lives on several
         partitions, so the driver folds these into one scratch partition
         with ``absorb`` and closes that (``close_hot_partials``).  With
-        ``early_fire`` it also returns ``early_touched``/
+        a live sink it also returns ``early_touched``/
         ``early_touched_sliding``: the open cells this epoch touched.
         """
-        out = {}
-        out["replicated"] = self._emit_replicated(epoch, wm)
-        out["windows"], out["hot_windows"] = self._close_windows(epoch, wm, hot_keys)
-        out["sliding"], out["hot_sliding"] = self._close_sliding(epoch, wm, hot_keys)
-        out["sessions"], out["hot_sessions"] = self._close_sessions(epoch, wm, hot_keys)
-        out["funnels"] = self._close_funnel(epoch, wm)
-        if self.cfg.changelog:
+        on = self.outputs
+        out = {"replicated": self._emit_replicated(epoch, wm)}
+        for name, close in (("windows", self._close_windows),
+                            ("sliding", self._close_sliding),
+                            ("sessions", self._close_sessions)):
+            if name in on:
+                out[name], out[f"hot_{name}"] = close(epoch, wm, hot_keys)
+        if "funnels" in on:
+            out["funnels"] = self._close_funnel(epoch, wm)
+        if "changelog" in on:
             out["changelog"] = self._emit_changelog(epoch)
         out["dlq"] = self._emit_dlq(epoch)
-        if self.cfg.early_fire:
+        if "windows_live" in on or "sliding_live" in on:
             # incremental (speculative) window emission: report which
             # still-open tumbling/sliding cells THIS epoch touched (the
             # delta dicts hold exactly this epoch's increments — deltas
@@ -770,10 +792,10 @@ class PartitionState:
                                              pa.int64()),
                 })
 
-            if self.cfg.window_size_ms:
+            if "windows_live" in on:
                 out["early_touched"] = _touched_tbl(
                     self._delta_win, self.win)
-            if self.cfg.sliding_size_ms:
+            if "sliding_live" in on:
                 out["early_touched_sliding"] = _touched_tbl(
                     self._delta_swin, self.swin)
         if wm >= WATERMARK_MAX and self.view:
@@ -837,9 +859,9 @@ class PartitionState:
         independent: the per-step scatter is order-free and funnel rows
         always reach the key's HOME partition.
         """
-        steps = self.funnel_codes
-        if not steps or not self.funnel_buf:
+        if not self.funnel_buf:
             return None
+        steps = self.funnel_codes
         keys = np.concatenate([c[0] for c in self.funnel_buf])
         tss = np.concatenate([c[1] for c in self.funnel_buf])
         kinds = np.concatenate([c[2] for c in self.funnel_buf])
@@ -1124,19 +1146,19 @@ class PartitionState:
         return tbl, hot or None
 
     def _close_windows(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()):
-        size = self.cfg.window_size_ms
-        if not size or not self.win:
+        if not self.win:
             return None, None
         return self._close_window_dict(
-            self.win, size, epoch, wm, hot_keys, "windows_closed"
+            self.win, self.cfg.window_size_ms, epoch, wm, hot_keys,
+            "windows_closed"
         )
 
     def _close_sliding(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()):
-        size = self.cfg.sliding_size_ms
-        if not size or not self.swin:
+        if not self.swin:
             return None, None
         return self._close_window_dict(
-            self.swin, size, epoch, wm, hot_keys, "sliding_closed"
+            self.swin, self.cfg.sliding_size_ms, epoch, wm, hot_keys,
+            "sliding_closed"
         )
 
     def _close_sessions(self, epoch: int, wm: int, hot_keys: frozenset = frozenset()):
@@ -1145,9 +1167,9 @@ class PartitionState:
         partitions may bridge, so closure is decided only after the driver
         merges them and the still-open remainder is adopted by the home
         partition)."""
-        gap = self.cfg.session_gap_ms
-        if not gap or not self.sessions:
+        if not self.sessions:
             return None, None
+        gap = self.cfg.session_gap_ms
         rows = []
         hot_rows: list[tuple] = []
         for k in sorted(self.sessions.keys()):
@@ -1303,7 +1325,7 @@ class PartitionState:
         self._reset_deltas()
 
     def _load_full(self, directory: str):
-        from ..fs import fget, fget_table
+        from ..fs import fget
 
         light = pickle.loads(fget(os.path.join(directory, "state.pkl")))
         self.win = light["win"]
@@ -1315,13 +1337,13 @@ class PartitionState:
         self.funnel_buf = light["funnel_buf"]
         self.max_ts = light["max_ts"]
         self.metrics = defaultdict(int, light["metrics"])
-        buf = fget_table(os.path.join(directory, "clip_buf.parquet"))
-        self.clip_buf = [buf] if buf.num_rows else []
+        self.clip_buf = _read_clip_buffer(
+            os.path.join(directory, "clip_buf.parquet"))
         self.dlq_buf = []
         return light["wm"]
 
     def _apply_delta(self, directory: str):
-        from ..fs import fget, fget_table
+        from ..fs import fget
 
         d = pickle.loads(fget(os.path.join(directory, "delta.pkl")))
         sample_k = self.cfg.window_sample_k
@@ -1339,9 +1361,8 @@ class PartitionState:
         self.sessions = defaultdict(list, d["sessions"])
         self.max_ts = d["max_ts"]
         self.metrics = defaultdict(int, d["metrics"])
-        buf = fget_table(os.path.join(directory, "clip_delta.parquet"))
-        if buf.num_rows:
-            self.clip_buf.append(buf)
+        self.clip_buf.extend(_read_clip_buffer(
+            os.path.join(directory, "clip_delta.parquet")))
         return d["wm"]
 
     def restore_chain(self, full_dir: str, delta_dirs: list[str]):
@@ -1387,6 +1408,21 @@ class PartitionState:
             self.funnel_buf = [(fk[keep], ft[keep], fd[keep])] if keep.any() else []
         # sessions are exact (full copy in every delta): closed hot/cold
         # sessions were already removed at their close
+
+
+def _read_clip_buffer(path: str) -> list:
+    """A checkpoint's clip-buffer parquet as ``clip_buf`` chunks.  Every
+    save writes it, but a checkpoint saved before that rule holds none
+    when its buffer was empty; the parquet is written before the pickle
+    that makes a checkpoint visible, so a missing one reads as empty
+    (still one GET, so restore ops stay independent of the data)."""
+    from ..fs import fget_table
+
+    try:
+        buf = fget_table(path)
+    except FileNotFoundError:
+        return []
+    return [buf] if buf.num_rows else []
 
 
 def _concat_or_empty(tables: list) -> pa.Table:
@@ -1438,8 +1474,7 @@ def close_hot_partials(partials: list, cfg, epoch: int,
     for sink, close in (("windows", st._close_windows),
                         ("sliding", st._close_sliding),
                         ("sessions", st._close_sessions)):
-        tbl, _ = close(epoch, wm)
-        if tbl is not None:
+        if sink in st.outputs and (tbl := close(epoch, wm)[0]) is not None:
             out[sink] = tbl
     return out, st
 

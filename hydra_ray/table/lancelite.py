@@ -602,6 +602,27 @@ class Table:
 
         return self._commit_fragments([], prepare=prepare)
 
+    def advance_epoch(self, pipeline: str, epoch: int) -> bool:
+        """Move ``pipeline``'s committed epoch forward to ``epoch`` without
+        fragments, never back: a no-op (and no PUT) when the fresh
+        manifest already records ``epoch`` or later.  Used to catch up a
+        sink that had no rows to commit for the epochs in between.
+        Compares inside the retry loop (see ``_commit_fragments``), so a
+        racing ``commit_epoch`` can neither be undone nor replayed."""
+
+        def prepare(base: "_Manifest") -> dict[str, Any] | None:
+            pipelines = dict(base.properties.get("pipelines", {}))
+            state = dict(pipelines.get(pipeline, {}))
+            if int(state.get("last_epoch", -1)) >= epoch:
+                return None
+            state["last_epoch"] = epoch
+            pipelines[pipeline] = state
+            props = dict(base.properties)
+            props["pipelines"] = pipelines
+            return props
+
+        return self._commit_fragments([], prepare=prepare) is not None
+
     def compact(self, target_rows: int = 200_000,
                 reader_horizon: int | None = None) -> int | None:
         """Merge small fragments into ~``target_rows`` ones (maintenance).

@@ -217,3 +217,27 @@ def test_rescale_op_complexity(tmp_path, ray_session, meter_tok):
                        if n != before.get(k, 0)})
     assert deltas[0] == deltas[1], deltas
     assert deltas[0][("put", "manifest")] == 1, deltas[0]
+
+
+def test_restore_reads_a_checkpoint_without_clip_buffer(tmp_path):
+    """Checkpoints saved before every save wrote its clip-buffer parquet
+    have none when the buffer was empty; they restore with an empty
+    buffer (the parquet precedes the pickle that makes a checkpoint
+    visible, so a missing one was empty)."""
+    from hydra_ray.state.store import WATERMARK_MAX, PartitionState
+
+    c = cfg()
+    st = PartitionState(0, c)
+    st.ingest_clips(synth_clips_table(64, hot_fraction=0.0)
+                    .drop_columns(["bytes"]), -(1 << 62))
+    st.close_epoch(0, WATERMARK_MAX)
+    assert not st.clip_buf
+    full, delta = str(tmp_path / "e0"), str(tmp_path / "e1")
+    st.save(full, WATERMARK_MAX)
+    st.save(delta, WATERMARK_MAX, full=False)
+    (tmp_path / "e0" / "clip_buf.parquet").unlink()
+    (tmp_path / "e1" / "clip_delta.parquet").unlink()
+    back = PartitionState(0, c)
+    back.restore_chain(full, [delta])
+    assert back.clip_buf == []
+    assert back.view == st.view and back.metrics == st.metrics

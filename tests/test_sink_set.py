@@ -10,9 +10,10 @@ import pytest
 
 import tests.test_replicate as tr
 from hydra_ray.pipelines.replicate import ReplicatePipeline, sink_names
-from hydra_ray.state.store import WATERMARK_MAX, StateHost
+from hydra_ray.state.store import WATERMARK_MAX, PartitionState, StateHost
 from hydra_ray.synth import synth_clips_table
 from hydra_ray.table import Table
+from tests.test_manifest_contention import _inject_before_first_put, _tbl
 from tests.test_storagefs import _classify_for
 
 # the bench headline: tumbling windows and sessions, no sliding windows
@@ -115,3 +116,67 @@ def test_resume_with_a_feature_toggled(tmp_path, ray_session):
     assert (Table(f"{root}/toggled/changelog").committed_epoch("replicate")
             == Table(f"{root}/toggled/replicated").committed_epoch(
                 "replicate"))
+
+
+def test_close_emits_only_enabled_outputs():
+    """close_epoch's sink outputs are exactly the config's sink_names
+    (the early-fire touched sets and hot partials aside)."""
+    light = synth_clips_table(64, hot_fraction=0.0).drop_columns(["bytes"])
+    for c in (tr.cfg(**HEADLINE), tr.cfg(early_fire=True, changelog=True,
+                                         funnel_steps=("clip", "update"))):
+        st = PartitionState(0, c)
+        st.ingest_clips(light, -(1 << 62))
+        out = st.close_epoch(0, WATERMARK_MAX)
+        sinks = {k for k in out
+                 if not k.startswith(("hot_", "early_touched"))}
+        assert sinks <= set(sink_names(c)) - {"payload"}
+        assert out["windows"] is not None and out["sessions"] is not None
+
+
+def test_fast_forward_never_moves_an_epoch_back(tmp_path):
+    """Two drivers resume one out root whose sink lags the main sink at
+    epoch 3.  Driver A fast-forwards the sink and commits epoch 4 to it
+    between driver B's manifest read and its PUT: B's fast-forward must
+    no-op, so B's own commit of epoch 4 is a replay, not a second copy."""
+    root = f"strict://{tmp_path}/changelog"
+    Table.create(root)
+    a, b = Table(root), Table(root)
+    assert a.commit_epoch("replicate", 0, [a.stage_fragment(_tbl(2), 0, 0)])
+
+    def driver_a():
+        assert a.advance_epoch("replicate", 3)
+        assert a.commit_epoch("replicate", 4,
+                              [a.stage_fragment(_tbl(3, 40), 4, 0)])
+
+    _inject_before_first_put(b, driver_a)
+    assert b.advance_epoch("replicate", 3) is False
+    assert b.committed_epoch("replicate") == 4
+    assert not b.commit_epoch("replicate", 4,
+                              [b.stage_fragment(_tbl(3, 40), 4, 0)])
+    t = Table(root)
+    assert t.count_rows() == 5 and t.gc_staged() == 0
+    # the fast-forward is a no-op (no manifest) once the sink caught up
+    v = t.latest_version()
+    assert t.advance_epoch("replicate", 4) is False
+    assert t.latest_version() == v
+
+
+def test_resume_gcs_a_disabled_sink(tmp_path, ray_session):
+    """A resume that switches a feature off still deletes the orphan
+    fragments a crashed run left in that feature's sink, and keeps its
+    committed rows."""
+    root = str(tmp_path)
+    tr.build_sources(root)
+    out = f"{root}/out"
+
+    def run(changelog):
+        ReplicatePipeline(f"{root}/clips", out, tr.cfg(changelog=changelog),
+                          f"{root}/updates").run(max_epochs=2)
+
+    run(True)
+    data = os.path.join(out, "changelog", "data")
+    kept = set(os.listdir(data))
+    with open(os.path.join(data, "f-orphan.parquet"), "wb") as f:
+        f.write(b"staged by a crashed run")
+    run(False)
+    assert set(os.listdir(data)) == kept
